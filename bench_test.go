@@ -208,7 +208,7 @@ func BenchmarkCompilePolicies(b *testing.B) {
 // BenchmarkInterpreter measures RM3 execution speed on the crossbar model.
 func BenchmarkInterpreter(b *testing.B) {
 	m := benchmarkMIG(b, "bar")
-	rep, err := Run(m, Full, core.DefaultEffort)
+	rep, err := core.Run(context.Background(), m, Full, core.DefaultEffort, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,13 +27,14 @@ import (
 	"os/signal"
 
 	"plim"
+	"plim/internal/cli"
 )
 
 func main() {
 	var (
 		benchName = flag.String("bench", "", "benchmark name (see -list)")
 		inFile    = flag.String("in", "", "input .mig netlist (alternative to -bench)")
-		cfgName   = flag.String("config", "full", "configuration: naive|compiler21|minwrite|rewriting|full")
+		cfgName   = flag.String("config", "full", "configuration: naive|compiler21|minwrite|rewriting|full, optionally +capN")
 		cap       = flag.Uint64("cap", 0, "maximum write count per device (0 = unlimited)")
 		effort    = flag.Int("effort", plim.DefaultEffort, "MIG rewriting cycles (0 = none)")
 		shrink    = flag.Int("shrink", 1, "divide benchmark datapath widths (quick runs)")
@@ -80,7 +81,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg, err := configByName(*cfgName, *cap)
+	cfg, err := plim.ParseConfig(*cfgName, *cap)
 	if err != nil {
 		fatal(err)
 	}
@@ -111,7 +112,7 @@ func main() {
 		}
 	}
 	if *tracePath != "" {
-		if err := writeTrace(eng, *tracePath, *verbose); err != nil {
+		if err := cli.WriteTrace(eng, *tracePath, *verbose, "plimc"); err != nil {
 			fatal(err)
 		}
 	}
@@ -124,24 +125,6 @@ func printCacheSummary(eng *plim.Engine) {
 	if s, ok := eng.CacheSummary(); ok {
 		fmt.Fprintln(os.Stderr, s)
 	}
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON (chrome://tracing, Perfetto); with verbose set it also renders the
-// span tree to stderr.
-func writeTrace(eng *plim.Engine, path string, verbose bool) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimc: -trace: no spans recorded")
-	}
-	if err := writeFile(path, tr.WriteChrome); err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Fprintln(os.Stderr, "trace:")
-		tr.Render(os.Stderr)
-	}
-	return nil
 }
 
 func loadMIG(eng *plim.Engine, bench, file string) (*plim.MIG, error) {
@@ -159,29 +142,6 @@ func loadMIG(eng *plim.Engine, bench, file string) (*plim.MIG, error) {
 		return plim.ReadMIG(f)
 	}
 	return nil, fmt.Errorf("plimc: need -bench or -in (try -list)")
-}
-
-func configByName(name string, cap uint64) (plim.Config, error) {
-	var cfg plim.Config
-	switch name {
-	case "naive":
-		cfg = plim.Naive
-	case "compiler21":
-		cfg = plim.Compiler21
-	case "minwrite":
-		cfg = plim.MinWrite
-	case "rewriting":
-		cfg = plim.Rewriting
-	case "full":
-		cfg = plim.Full
-	default:
-		return cfg, fmt.Errorf("plimc: unknown config %q", name)
-	}
-	if cap > 0 {
-		cfg.MaxWrites = cap
-		cfg.Name += fmt.Sprintf("+cap%d", cap)
-	}
-	return cfg, nil
 }
 
 func writeFile(path string, write func(w io.Writer) error) error {

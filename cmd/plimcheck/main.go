@@ -29,6 +29,7 @@ import (
 	"os/signal"
 
 	"plim"
+	"plim/internal/cli"
 	"plim/internal/verify"
 )
 
@@ -37,7 +38,7 @@ func main() {
 		inFile    = flag.String("in", "", "compiled program to verify (.bin binary or .plim/.asm assembly)")
 		format    = flag.String("format", "auto", "input format: auto|bin|asm")
 		benchName = flag.String("bench", "", "compile-and-verify a benchmark instead of reading a program")
-		cfgName   = flag.String("config", "full", "configuration for -bench: naive|compiler21|minwrite|rewriting|full")
+		cfgName   = flag.String("config", "full", "configuration for -bench: naive|compiler21|minwrite|rewriting|full, optionally +capN")
 		cap       = flag.Uint64("cap", 0, "per-cell write cap to check against (0 = the config's cap, if any)")
 		effort    = flag.Int("effort", plim.DefaultEffort, "MIG rewriting cycles for -bench")
 		shrink    = flag.Int("shrink", 1, "benchmark datapath shrink for -bench")
@@ -134,7 +135,7 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	cfg, err := configByName(cfgName, cap)
+	cfg, err := plim.ParseConfig(cfgName, cap)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +164,7 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 		verify.CheckWriteParity(rpt, rep.Result.WriteCounts, "allocator")
 	}
 	if tracePath != "" {
-		if err := writeTrace(eng, tracePath, verbose); err != nil {
+		if err := cli.WriteTrace(eng, tracePath, verbose, "plimcheck"); err != nil {
 			return nil, err
 		}
 	}
@@ -171,52 +172,4 @@ func checkBenchmark(bench, cfgName string, cap uint64, effort, shrink int, cache
 		fmt.Fprintln(os.Stderr, s)
 	}
 	return rpt, nil
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON; with verbose set it also renders the span tree to stderr.
-func writeTrace(eng *plim.Engine, path string, verbose bool) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimcheck: -trace: no spans recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Fprintln(os.Stderr, "trace:")
-		tr.Render(os.Stderr)
-	}
-	return nil
-}
-
-func configByName(name string, cap uint64) (plim.Config, error) {
-	var cfg plim.Config
-	switch name {
-	case "naive":
-		cfg = plim.Naive
-	case "compiler21":
-		cfg = plim.Compiler21
-	case "minwrite":
-		cfg = plim.MinWrite
-	case "rewriting":
-		cfg = plim.Rewriting
-	case "full":
-		cfg = plim.Full
-	default:
-		return cfg, fmt.Errorf("plimcheck: unknown config %q", name)
-	}
-	if cap > 0 {
-		cfg.MaxWrites = cap
-		cfg.Name += fmt.Sprintf("+cap%d", cap)
-	}
-	return cfg, nil
 }

@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"plim"
+	"plim/internal/cli"
 )
 
 func main() {
@@ -96,7 +97,7 @@ func main() {
 		fatal(fmt.Errorf("plimrun: %w", err))
 	}
 	if *tracePath != "" {
-		if err := writeTrace(eng, *tracePath); err != nil {
+		if err := cli.WriteTrace(eng, *tracePath, false, "plimrun"); err != nil {
 			fatal(err)
 		}
 	}
@@ -244,24 +245,6 @@ func firstDiff(a, b uint64, chunk int) int {
 		i++
 	}
 	return chunk*64 + i
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON (chrome://tracing, Perfetto).
-func writeTrace(eng *plim.Engine, path string) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimrun: -trace: no spans recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"plim"
+	"plim/internal/cli"
 )
 
 func main() {
@@ -191,7 +192,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		if err := writeTrace(eng, *tracePath, *verbose && !*quiet); err != nil {
+		if err := cli.WriteTrace(eng, *tracePath, *verbose && !*quiet, "plimtab"); err != nil {
 			fatal(err)
 		}
 	}
@@ -199,31 +200,6 @@ func main() {
 		progress(s)
 	}
 	progress(fmt.Sprintf("done in %v", time.Since(start).Round(time.Millisecond)))
-}
-
-// writeTrace exports the engine's recorded trace as Chrome trace-event
-// JSON; with verbose set it also renders the span tree to stderr.
-func writeTrace(eng *plim.Engine, path string, verbose bool) error {
-	tr := eng.TakeTrace()
-	if tr == nil {
-		return fmt.Errorf("plimtab: -trace: no spans recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if verbose {
-		fmt.Fprintln(os.Stderr, "trace:")
-		tr.Render(os.Stderr)
-	}
-	return nil
 }
 
 func fatal(err error) {

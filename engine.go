@@ -12,7 +12,7 @@ import (
 	"plim/internal/cost"
 	"plim/internal/diskcache"
 	"plim/internal/exec"
-	"plim/internal/lru"
+	"plim/internal/memo"
 	"plim/internal/progress"
 	"plim/internal/sched"
 	"plim/internal/suite"
@@ -33,10 +33,10 @@ import (
 //	rep, err := eng.Run(ctx, m, plim.Full)
 //
 // Every method takes a context.Context; cancellation is honoured between
-// rewrite cycles, between configurations and between suite jobs. Unlike the
-// deprecated free functions, option values are explicit: WithEffort(0)
-// really runs zero rewriting cycles, and WithWorkers(1) really serializes a
-// suite (which also makes progress-event order deterministic).
+// rewrite cycles, between configurations and between suite jobs. Option
+// values are explicit: WithEffort(0) really runs zero rewriting cycles, and
+// WithWorkers(1) really serializes a suite (which also makes progress-event
+// order deterministic).
 type Engine struct {
 	effort      int
 	workers     int
@@ -50,22 +50,20 @@ type Engine struct {
 	mu          sync.Mutex // serializes progress delivery
 	err         error      // first invalid option; surfaced by every method
 
-	// Populated at construction when cache is true: benchCache memoizes
-	// benchmark generator output, rwCache memoizes rewrite stages by
-	// (function fingerprint, pipeline, effort). Both are byte-budgeted at
-	// cacheBudget estimated bytes each (least-recently-used entries are
-	// evicted), so a long-lived engine fed a stream of distinct functions
-	// stays bounded.
-	benchCache *suite.Cache
-	rwCache    *core.RewriteCache
+	// The memo tiers, populated at construction when cache is true:
+	// benchCache memoizes benchmark generator output, rwCache rewrite
+	// stages by (function fingerprint, pipeline, effort), plans bit-sliced
+	// execution plans by program fingerprint (see Engine.ExecuteBatch).
+	// Each is byte-budgeted at cacheBudget estimated bytes (least-recently-
+	// used entries are evicted), so a long-lived engine fed a stream of
+	// distinct functions stays bounded.
+	benchCache *suite.Tier
+	rwCache    *core.RewriteTier
+	plans      *memo.Tier[uint64, *exec.Plan]
 
-	// execPlans memoizes bit-sliced execution plans by program fingerprint
-	// (see Engine.ExecuteBatch); planMu guards it.
-	planMu    sync.Mutex
-	execPlans *lru.Map[uint64, *exec.Plan]
-
-	// disk is the persistent second tier below both caches, opened at
-	// construction when WithPersistentCache names a directory.
+	// disk is the persistent second tier below the benchmark and rewrite
+	// tiers, opened at construction when WithPersistentCache names a
+	// directory.
 	disk *diskcache.Cache
 
 	// scratch recycles compile-stage state (per-node tables, candidate
@@ -122,11 +120,6 @@ func NewEngine(opts ...Option) *Engine {
 		// implies caching even under WithCache(false).
 		e.cache = true
 	}
-	if e.cache {
-		e.benchCache = suite.NewCacheWithBudget(e.cacheBudget)
-		e.rwCache = core.NewRewriteCacheWithBudget(e.cacheBudget)
-		e.execPlans = lru.New[uint64, *exec.Plan](e.cacheBudget)
-	}
 	if e.persistDir != "" && e.err == nil {
 		d, err := diskcache.Open(e.persistDir)
 		if err != nil {
@@ -134,9 +127,12 @@ func NewEngine(opts ...Option) *Engine {
 		} else {
 			e.disk = d
 			d.SetVerify(e.verify)
-			e.benchCache.SetDisk(d)
-			e.rwCache.SetDisk(d)
 		}
+	}
+	if e.cache {
+		e.benchCache = suite.NewTier(e.cacheBudget, e.disk)
+		e.rwCache = core.NewRewriteTier(e.cacheBudget, e.disk)
+		e.plans = memo.New(memo.Options[uint64, *exec.Plan]{Budget: e.cacheBudget, Cost: (*exec.Plan).MemSize})
 	}
 	return e
 }
@@ -572,7 +568,7 @@ func (e *Engine) Rewrite(ctx context.Context, m *MIG, kind RewriteKind) (*MIG, R
 	}
 	ctx, csp := e.traceCtx(ctx, "rewrite")
 	defer csp.End()
-	out, st, err := e.rwCache.Rewrite(ctx, m, kind, e.effort, e.observer(ctx), "")
+	out, st, err := core.CachedRewrite(ctx, e.rwCache, m, kind, e.effort, e.observer(ctx), "")
 	if err != nil {
 		return nil, st, err
 	}
@@ -619,7 +615,7 @@ func (e *Engine) BenchmarkScaledContext(ctx context.Context, name string, shrink
 	if e.benchCache == nil {
 		return suite.BuildScaled(name, shrink)
 	}
-	m, err := e.benchCache.BuildScaledContext(ctx, name, shrink)
+	m, err := suite.BuildCached(ctx, e.benchCache, name, shrink)
 	if err != nil {
 		return nil, err
 	}
@@ -631,13 +627,7 @@ func (e *Engine) BenchmarkScaledContext(ctx context.Context, name string, shrink
 // singleflight computations). Both are 0 with WithCache(false). Servers
 // export these alongside the persistent tier's CacheCounters.
 func (e *Engine) MemoryCacheLens() (rewrites, benchmarks int) {
-	if e.rwCache != nil {
-		rewrites = e.rwCache.Len()
-	}
-	if e.benchCache != nil {
-		benchmarks = e.benchCache.Len()
-	}
-	return rewrites, benchmarks
+	return e.rwCache.Len(), e.benchCache.Len()
 }
 
 // MemoryCacheProbes reports the in-memory tiers' probe counters summed over
@@ -651,37 +641,15 @@ func (e *Engine) MemoryCacheProbes() (hits, misses uint64) {
 }
 
 // plan returns the bit-sliced execution plan for p, memoized by program
-// fingerprint when caching is on. Plans are immutable and shared; callers
-// must not mutate a Program after executing it through the engine, or a
-// later fingerprint-identical call may be served the stale plan.
-func (e *Engine) plan(p *Program) (*exec.Plan, error) {
-	if e.execPlans == nil {
+// fingerprint when caching is on: concurrent first calls on one program
+// share one lowering. Plans are immutable and shared; callers must not
+// mutate a Program after executing it through the engine, or a later
+// fingerprint-identical call may be served the stale plan.
+func (e *Engine) plan(ctx context.Context, p *Program) (*exec.Plan, error) {
+	if e.plans == nil {
 		return exec.Compile(p)
 	}
-	fp := p.Fingerprint()
-	e.planMu.Lock()
-	if ent, ok := e.execPlans.Get(fp); ok {
-		pl := ent.Value
-		e.planMu.Unlock()
-		return pl, nil
-	}
-	e.planMu.Unlock()
-	pl, err := exec.Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	e.planMu.Lock()
-	if ent, ok := e.execPlans.Get(fp); ok {
-		// A concurrent call compiled the same program first; share its plan.
-		pl = ent.Value
-	} else {
-		ent := e.execPlans.Add(fp, pl)
-		ent.Evictable = true
-		e.execPlans.SetCost(ent, pl.MemSize())
-		e.execPlans.EvictExcess(nil)
-	}
-	e.planMu.Unlock()
-	return pl, nil
+	return e.plans.Get(ctx, p.Fingerprint(), func() (*exec.Plan, error) { return exec.Compile(p) })
 }
 
 // ExecuteBatch evaluates a compiled program over a bit-sliced batch of
@@ -713,7 +681,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 	}
 	ctx, csp := e.traceCtx(ctx, "execute-batch")
 	defer csp.End()
-	pl, err := e.plan(p)
+	pl, err := e.plan(ctx, p)
 	if err != nil {
 		return nil, err
 	}

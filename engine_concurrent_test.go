@@ -196,3 +196,31 @@ func TestContextObserverAndEngineObserverBothFire(t *testing.T) {
 		}
 	}
 }
+
+// TestExecuteBatchLowersOnce: concurrent first ExecuteBatch calls on one
+// program share a single plan lowering — the plan tier counts one miss and
+// one hit per other caller.
+func TestExecuteBatchLowersOnce(t *testing.T) {
+	eng := NewEngine(WithWorkers(1))
+	rep, err := eng.Run(context.Background(), engineTestMIG(t), Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rep.Result.Program
+	b := RandomBatch(len(p.PICells), 64, 3)
+	const n = 8
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := eng.ExecuteBatch(context.Background(), p, b, ExecOptions{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if h, m := eng.plans.Probes(); h != n-1 || m != 1 {
+		t.Fatalf("plan tier probes = %d hits / %d misses, want %d / 1", h, m, n-1)
+	}
+}

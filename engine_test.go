@@ -257,84 +257,6 @@ func TestEngineProgressOrderSingleWorker(t *testing.T) {
 	}
 }
 
-// TestDeprecatedRunMatchesEngine requires the deprecated free function to
-// produce byte-identical programs and identical statistics to Engine.Run.
-func TestDeprecatedRunMatchesEngine(t *testing.T) {
-	for _, effort := range []int{0, 2, DefaultEffort} {
-		mOld := engineTestMIG(t)
-		mNew := engineTestMIG(t)
-		old, err := Run(mOld, Full, effort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, err := NewEngine(WithEffort(effort)).Run(context.Background(), mNew, Full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if old.Rewrite != now.Rewrite || old.Writes != now.Writes {
-			t.Fatalf("effort %d: stats diverge: %+v vs %+v", effort, old.Rewrite, now.Rewrite)
-		}
-		var a, b bytes.Buffer
-		if err := old.Result.Program.WriteAsm(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := now.Result.Program.WriteAsm(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("effort %d: deprecated Run and Engine.Run compiled different programs", effort)
-		}
-	}
-}
-
-// TestDeprecatedRunSuiteMatchesEngine requires the deprecated RunSuite to
-// render byte-identical tables to Engine.RunSuite under equivalent options
-// (the legacy zero values mean Effort 5 / Shrink 1 / Workers GOMAXPROCS —
-// here made explicit on both sides).
-func TestDeprecatedRunSuiteMatchesEngine(t *testing.T) {
-	benches := []string{"ctrl", "int2float"}
-	old, err := RunSuite(TableIConfigs(), SuiteOptions{
-		Benchmarks: benches, Effort: 1, Shrink: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(WithEffort(1), WithShrink(4))
-	now, err := eng.RunSuite(context.Background(), TableIConfigs(), benches...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, proj := range []func(*SuiteResult) (*Grid, error){
-		func(sr *SuiteResult) (*Grid, error) {
-			d, err := TableI(sr)
-			if err != nil {
-				return nil, err
-			}
-			return d.Grid(), nil
-		},
-		func(sr *SuiteResult) (*Grid, error) {
-			d, err := TableII(sr)
-			if err != nil {
-				return nil, err
-			}
-			return d.Grid(), nil
-		},
-	} {
-		ga, err := proj(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := proj(now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal([]byte(ga.CSV()), []byte(gb.CSV())) {
-			t.Fatalf("deprecated RunSuite and Engine.RunSuite rendered different tables:\n%s\nvs\n%s",
-				ga.CSV(), gb.CSV())
-		}
-	}
-}
-
 // TestEngineRewrite drives the standalone rewriting entry point used by
 // cmd/migstat: it must match rewrite statistics of a configuration run and
 // preserve the function.

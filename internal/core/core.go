@@ -24,6 +24,8 @@ import (
 	"plim/internal/alloc"
 	"plim/internal/compile"
 	"plim/internal/cost"
+	"plim/internal/diskcache"
+	"plim/internal/memo"
 	"plim/internal/mig"
 	"plim/internal/progress"
 	"plim/internal/rewrite"
@@ -174,6 +176,78 @@ func Rewrite(ctx context.Context, m *mig.MIG, kind RewriteKind, effort int, obs 
 	})
 }
 
+// RewriteKey identifies a memoized rewrite: any structurally identical MIG
+// (e.g. the same benchmark rebuilt by a later table) shares the entry.
+type RewriteKey struct {
+	FP     uint64
+	Kind   RewriteKind
+	Effort int
+}
+
+// Rewritten is a memoized rewrite result. The graph is shared between
+// callers and must be treated as read-only.
+type Rewritten struct {
+	M     *mig.MIG
+	Stats rewrite.Stats
+}
+
+// RewriteTier memoizes rewriting runs across configurations, benchmarks and
+// engine calls, charging each result its graph's estimated size.
+type RewriteTier = memo.Tier[RewriteKey, Rewritten]
+
+// NewRewriteTier returns a rewrite tier bounded at budget estimated bytes
+// (≤ 0 = unbounded), backed by d when non-nil.
+func NewRewriteTier(budget int, d *diskcache.Cache) *RewriteTier {
+	o := memo.Options[RewriteKey, Rewritten]{
+		Budget: budget,
+		Cost:   func(r Rewritten) int { return r.M.MemSize() },
+		Probe:  "rewrite-probe",
+		Attr:   "fp",
+		Label:  func(k RewriteKey) string { return fmt.Sprintf("%016x", k.FP) },
+	}
+	if d != nil {
+		o.Disk = rewriteDisk{d}
+	}
+	return memo.New(o)
+}
+
+// rewriteDisk adapts the persistent tier's rewrite entries.
+type rewriteDisk struct{ c *diskcache.Cache }
+
+func (d rewriteDisk) Probe(k RewriteKey) (Rewritten, diskcache.ProbeOutcome) {
+	m, st, out := d.c.ProbeRewrite(k.FP, uint8(k.Kind), k.Effort)
+	return Rewritten{m, st}, out
+}
+
+func (d rewriteDisk) Store(k RewriteKey, r Rewritten) error {
+	return d.c.StoreRewrite(k.FP, uint8(k.Kind), k.Effort, r.M, r.Stats)
+}
+
+// CachedRewrite is Rewrite memoized through t; a nil t rewrites directly.
+// On a hit no progress events are emitted — the rewrite simply did not run
+// again — and the result is shared: callers must not mutate it.
+func CachedRewrite(ctx context.Context, t *RewriteTier, m *mig.MIG, kind RewriteKind, effort int, obs progress.Func, label string) (*mig.MIG, rewrite.Stats, error) {
+	if err := ctx.Err(); err != nil {
+		// Checked up front so a cancelled caller never races a ready cache
+		// hit into returning a result.
+		return nil, rewrite.Stats{}, err
+	}
+	if t == nil {
+		return Rewrite(ctx, m, kind, effort, obs, label)
+	}
+	r, err := t.Get(ctx, RewriteKey{m.Fingerprint(), kind, effort}, func() (Rewritten, error) {
+		out, st, err := Rewrite(ctx, m, kind, effort, obs, label)
+		if err == nil && out == m {
+			// Effort 0 (or RewriteNone on an already-clean graph) can hand
+			// the caller's own MIG back; the tier must never retain a graph
+			// the caller may keep mutating.
+			out = m.Clone()
+		}
+		return Rewritten{out, st}, err
+	})
+	return r.M, r.Stats, err
+}
+
 // Run rewrites m according to cfg (with the given effort) and compiles it.
 // The input MIG is not modified. Cancellation is checked on entry, between
 // rewrite cycles and before compilation; on cancellation the error is
@@ -310,7 +384,7 @@ type StagedOptions struct {
 	// every server request — interleaves at task granularity).
 	Sched *sched.Pool
 	// Cache memoizes rewrite stages across calls; nil rewrites afresh.
-	Cache *RewriteCache
+	Cache *RewriteTier
 	// Scratch, when non-nil, supplies reusable compile scratch state to the
 	// per-configuration compile jobs (plim.Engine threads its pool through
 	// here); nil uses the compile package's shared default pool.
@@ -353,7 +427,7 @@ func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Co
 			if m == nil {
 				return // upstream failure; its error is reported there
 			}
-			rms[si], rsts[si], rwErrs[si] = opts.Cache.Rewrite(ctx, m, st.Kind, opts.Effort, opts.Progress, label)
+			rms[si], rsts[si], rwErrs[si] = CachedRewrite(ctx, opts.Cache, m, st.Kind, opts.Effort, opts.Progress, label)
 		}, dep)
 		for _, ci := range st.Configs {
 			ct := g.Task(sched.KindCompile, cfgs[ci].Name, func(ctx context.Context) {

@@ -217,11 +217,11 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 	for name, opts := range map[string]StagedOptions{
 		"inline":          {Effort: 2},
 		"workers":         {Effort: 2, Workers: 4},
-		"cached":          {Effort: 2, Cache: NewRewriteCache()},
-		"cached+worker":   {Effort: 2, Workers: 4, Cache: NewRewriteCache()},
+		"cached":          {Effort: 2, Cache: NewRewriteTier(0, nil)},
+		"cached+worker":   {Effort: 2, Workers: 4, Cache: NewRewriteTier(0, nil)},
 		"scratch":         {Effort: 2, Scratch: compile.NewScratchPool()},
-		"scratch+staged":  {Effort: 2, Workers: 4, Cache: NewRewriteCacheWithBudget(2), Scratch: compile.NewScratchPool()},
-		"scratch+bounded": {Effort: 2, Cache: NewRewriteCacheWithBudget(1), Scratch: compile.NewScratchPool()},
+		"scratch+staged":  {Effort: 2, Workers: 4, Cache: NewRewriteTier(2, nil), Scratch: compile.NewScratchPool()},
+		"scratch+bounded": {Effort: 2, Cache: NewRewriteTier(1, nil), Scratch: compile.NewScratchPool()},
 	} {
 		got, err := RunStaged(context.Background(), m, cfgs, opts)
 		if err != nil {
@@ -277,11 +277,11 @@ func TestRunStagedRewritesOncePerStage(t *testing.T) {
 // an equal-fingerprint function returns the same MIG instance without
 // emitting rewrite events, and Len reports the entry.
 func TestRewriteCacheHitSharesResult(t *testing.T) {
-	cache := NewRewriteCache()
+	cache := NewRewriteTier(0, nil)
 	m := randomMIG("f", 8, 120, 8, 21)
 	events := 0
 	obs := progress.Func(func(progress.Event) { events++ })
-	first, st1, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 2, obs, "x")
+	first, st1, err := CachedRewrite(context.Background(), cache, m, RewriteAlgorithm2, 2, obs, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRewriteCacheHitSharesResult(t *testing.T) {
 		t.Fatal("computing call emitted no rewrite events")
 	}
 	// A structurally identical rebuild must hit.
-	second, st2, err := cache.Rewrite(context.Background(), randomMIG("f", 8, 120, 8, 21), RewriteAlgorithm2, 2, obs, "x")
+	second, st2, err := CachedRewrite(context.Background(), cache, randomMIG("f", 8, 120, 8, 21), RewriteAlgorithm2, 2, obs, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestRewriteCacheHitSharesResult(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 1", cache.Len())
 	}
 	// Different effort is a different key.
-	if _, _, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 3, nil, "x"); err != nil {
+	if _, _, err := CachedRewrite(context.Background(), cache, m, RewriteAlgorithm2, 3, nil, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 2 {
@@ -318,17 +318,17 @@ func TestRewriteCacheHitSharesResult(t *testing.T) {
 // TestRewriteCacheDoesNotCacheCancellation: a cancelled computation must
 // not poison the cache; the next caller recomputes successfully.
 func TestRewriteCacheDoesNotCacheCancellation(t *testing.T) {
-	cache := NewRewriteCache()
+	cache := NewRewriteTier(0, nil)
 	m := randomMIG("f", 8, 120, 8, 4)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := cache.Rewrite(cancelled, m, RewriteAlgorithm1, 2, nil, "x"); !errors.Is(err, context.Canceled) {
+	if _, _, err := CachedRewrite(cancelled, cache, m, RewriteAlgorithm1, 2, nil, "x"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if cache.Len() != 0 {
 		t.Fatalf("cancelled computation cached (%d entries)", cache.Len())
 	}
-	out, st, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm1, 2, nil, "x")
+	out, st, err := CachedRewrite(context.Background(), cache, m, RewriteAlgorithm1, 2, nil, "x")
 	if err != nil || out == nil || st.Cycles == 0 {
 		t.Fatalf("retry after cancellation failed: %v %+v", err, st)
 	}
@@ -337,7 +337,7 @@ func TestRewriteCacheDoesNotCacheCancellation(t *testing.T) {
 // TestRewriteCacheSingleflight hammers one key from many goroutines; the
 // underlying rewrite must run exactly once.
 func TestRewriteCacheSingleflight(t *testing.T) {
-	cache := NewRewriteCache()
+	cache := NewRewriteTier(0, nil)
 	m := randomMIG("f", 8, 200, 8, 17)
 	var computes atomic.Int32
 	obs := progress.Func(func(ev progress.Event) {
@@ -351,7 +351,7 @@ func TestRewriteCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, _, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 3, obs, "x")
+			out, _, err := CachedRewrite(context.Background(), cache, m, RewriteAlgorithm2, 3, obs, "x")
 			if err != nil {
 				t.Error(err)
 			}
@@ -373,10 +373,10 @@ func TestRewriteCacheSingleflight(t *testing.T) {
 // return the caller's own graph; the cache must store a private copy so
 // later caller mutations cannot corrupt hits.
 func TestRewriteCacheNeverRetainsCallerMIG(t *testing.T) {
-	cache := NewRewriteCache()
+	cache := NewRewriteTier(0, nil)
 	m := randomMIG("f", 6, 50, 4, 8)
 	nodesBefore := m.NumMaj()
-	out, st, err := cache.Rewrite(context.Background(), m, RewriteAlgorithm2, 0, nil, "x")
+	out, st, err := CachedRewrite(context.Background(), cache, m, RewriteAlgorithm2, 0, nil, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestRewriteCacheNeverRetainsCallerMIG(t *testing.T) {
 	}
 	// The caller keeps building on its graph; the cached entry must not see it.
 	m.AddPO(m.Maj(m.PO(0), m.PO(1), mig.Const1), "junk")
-	hit, _, err := cache.Rewrite(context.Background(), randomMIG("f", 6, 50, 4, 8), RewriteAlgorithm2, 0, nil, "x")
+	hit, _, err := CachedRewrite(context.Background(), cache, randomMIG("f", 6, 50, 4, 8), RewriteAlgorithm2, 0, nil, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,23 +415,23 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 	}
 	s1, s2, s3 := resultSize(m1), resultSize(m2), resultSize(m3)
 	budget := s1 + max(s2, s3)
-	cache := NewRewriteCacheWithBudget(budget)
+	cache := NewRewriteTier(budget, nil)
 	if cache.Budget() != budget {
 		t.Fatalf("Budget = %d, want %d", cache.Budget(), budget)
 	}
-	r1, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, nil, "x")
+	r1, _, err := CachedRewrite(context.Background(), cache, m1, RewriteAlgorithm2, 2, nil, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := cache.Rewrite(context.Background(), m2, RewriteAlgorithm2, 2, nil, "x")
+	r2, _, err := CachedRewrite(context.Background(), cache, m2, RewriteAlgorithm2, 2, nil, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Touch m1 so m2 is the LRU entry, then overflow with m3.
-	if hit, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, nil, "x"); err != nil || hit != r1 {
+	if hit, _, err := CachedRewrite(context.Background(), cache, m1, RewriteAlgorithm2, 2, nil, "x"); err != nil || hit != r1 {
 		t.Fatalf("expected m1 hit before overflow (err %v)", err)
 	}
-	if _, _, err := cache.Rewrite(context.Background(), m3, RewriteAlgorithm2, 2, nil, "x"); err != nil {
+	if _, _, err := CachedRewrite(context.Background(), cache, m3, RewriteAlgorithm2, 2, nil, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 2 {
@@ -439,10 +439,10 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 	}
 	// m1 was refreshed after m2, so m2 is the victim: recompute (fresh
 	// instance) while m1 still hits.
-	if hit, _, err := cache.Rewrite(context.Background(), m1, RewriteAlgorithm2, 2, nil, "x"); err != nil || hit != r1 {
+	if hit, _, err := CachedRewrite(context.Background(), cache, m1, RewriteAlgorithm2, 2, nil, "x"); err != nil || hit != r1 {
 		t.Fatalf("recently-used entry was evicted (err %v)", err)
 	}
-	again, _, err := cache.Rewrite(context.Background(), m2, RewriteAlgorithm2, 2, nil, "x")
+	again, _, err := CachedRewrite(context.Background(), cache, m2, RewriteAlgorithm2, 2, nil, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 // the computing caller but still unindex the entry and close its done
 // channel — otherwise every future caller of the key would block forever.
 func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
-	cache := NewRewriteCacheWithBudget(4)
+	cache := NewRewriteTier(4, nil)
 	bad := mig.New("bad")
 	bad.AddPI("x")
 	bad.AddPO(mig.MakeSignal(mig.NodeID(99), false), "f") // dangling reference
@@ -467,7 +467,7 @@ func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
 				panicked = true
 			}
 		}()
-		cache.Rewrite(context.Background(), bad, RewriteAlgorithm2, 1, nil, "x")
+		CachedRewrite(context.Background(), cache, bad, RewriteAlgorithm2, 1, nil, "x")
 	}()
 	if !panicked {
 		t.Fatal("malformed MIG did not panic; test premise broken")
@@ -477,7 +477,7 @@ func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
 	}
 	// The cache still works for sane keys afterwards.
 	good := randomMIG("f", 6, 50, 4, 1)
-	if _, _, err := cache.Rewrite(context.Background(), good, RewriteAlgorithm2, 1, nil, "x"); err != nil {
+	if _, _, err := CachedRewrite(context.Background(), cache, good, RewriteAlgorithm2, 1, nil, "x"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -526,9 +526,8 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 		}
 	})
 
-	warmC := NewRewriteCache()
-	warmC.SetDisk(disk)
-	want, wantSt, err := warmC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, obs, "")
+	warmC := NewRewriteTier(0, disk)
+	want, wantSt, err := CachedRewrite(ctx, warmC, m, RewriteAlgorithm2, DefaultEffort, obs, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,9 +540,8 @@ func TestRewriteCacheDiskTier(t *testing.T) {
 
 	// A brand-new in-memory cache (a new process) over the same directory.
 	cycles = 0
-	coldC := NewRewriteCache()
-	coldC.SetDisk(disk)
-	got, gotSt, err := coldC.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, obs, "")
+	coldC := NewRewriteTier(0, disk)
+	got, gotSt, err := CachedRewrite(ctx, coldC, m, RewriteAlgorithm2, DefaultEffort, obs, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,8 +598,7 @@ func TestRewriteCacheDiskTierFailedComputeNotStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewRewriteCache()
-	c.SetDisk(disk)
+	c := NewRewriteTier(0, disk)
 	m := randomMIG("cancel", 8, 160, 6, 32)
 	ctx, cancel := context.WithCancel(context.Background())
 	obs := progress.Func(func(ev progress.Event) {
@@ -609,7 +606,7 @@ func TestRewriteCacheDiskTierFailedComputeNotStored(t *testing.T) {
 			cancel() // cancel mid-run, after the first cycle
 		}
 	})
-	if _, _, err := c.Rewrite(ctx, m, RewriteAlgorithm2, DefaultEffort, obs, ""); err == nil {
+	if _, _, err := CachedRewrite(ctx, c, m, RewriteAlgorithm2, DefaultEffort, obs, ""); err == nil {
 		t.Fatal("cancelled rewrite succeeded")
 	}
 	if cnt := disk.Counters(); cnt.Stores != 0 {

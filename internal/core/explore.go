@@ -50,11 +50,11 @@ type ExploreOptions struct {
 	// invoked concurrently from worker goroutines.
 	Progress progress.Func
 	// BenchCache, when non-nil, memoizes benchmark builds per (name, shrink).
-	BenchCache *suite.Cache
+	BenchCache *suite.Tier
 	// RewriteCache, when non-nil, memoizes rewrite stages across the sweep —
 	// the axis product makes this the difference between O(points) and
 	// O(distinct rewrites) graph work.
-	RewriteCache *RewriteCache
+	RewriteCache *RewriteTier
 	// Scratch, when non-nil, supplies reusable compile scratch state.
 	Scratch *compile.ScratchPool
 	// Verify statically verifies every compiled program, including
@@ -179,7 +179,7 @@ func Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 				label = fmt.Sprintf("%s/s%d", name, shrink)
 			}
 			gen := g.Task(sched.KindGenerate, label, func(ctx context.Context) {
-				m, err := opts.BenchCache.BuildScaled(name, shrink)
+				m, err := suite.BuildCached(ctx, opts.BenchCache, name, shrink)
 				if err != nil {
 					genErrs[gi] = fmt.Errorf("core: explore %s (shrink %d): %w", name, shrink, err)
 					return

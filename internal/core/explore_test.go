@@ -48,8 +48,8 @@ func TestExploreDeterministic(t *testing.T) {
 
 	warm := quickExplore()
 	warm.Workers = 4
-	warm.BenchCache = suite.NewCache()
-	warm.RewriteCache = NewRewriteCache()
+	warm.BenchCache = suite.NewTier(0, nil)
+	warm.RewriteCache = NewRewriteTier(0, nil)
 	for i := 0; i < 2; i++ {
 		r, err := Explore(ctx, warm)
 		if err != nil {

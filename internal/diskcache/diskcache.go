@@ -1,17 +1,19 @@
 // Package diskcache is the persistent second tier below the engine's
-// in-memory caches: a content-addressed on-disk store for MIG rewrite
+// in-memory memo tiers: a content-addressed on-disk store for MIG rewrite
 // results and benchmark generator output. Separate CLI invocations
 // (plimtab, then plimc) start with cold processes but share a cache
 // directory, so the second invocation skips every rewrite the first one
 // already performed.
 //
-// Two entry kinds are stored, mirroring the in-memory tiers they back:
+// Two entry kinds are stored, mirroring the memo tiers they back. Each
+// kind is plugged into its tier (internal/memo) as the tier's disk leg by
+// a small adapter over its Probe*/Store* pair:
 //
 //   - rewrite results, keyed by (input-MIG fingerprint, rewrite kind,
-//     effort) exactly like core.RewriteCache, holding the rewritten MIG in
+//     effort) exactly like core.RewriteKey, holding the rewritten MIG in
 //     the .mig text format plus its rewrite.Stats;
 //   - benchmark builds, keyed by (benchmark name, shrink) exactly like
-//     suite.Cache, holding the generated MIG.
+//     suite.Key, holding the generated MIG.
 //
 // Every entry is one file: a small text header (magic, format version, the
 // full key, payload length and CRC-32) followed by the .mig payload.

@@ -718,7 +718,7 @@ func OnesCount64(x uint64) int { return bits.OnesCount64(x) }
 // MemSize estimates the graph's resident size in bytes: node storage, the
 // PI/PO tables with their name strings, and the structural-hash index when
 // present. It is an estimate (Go's allocator rounds size classes up), meant
-// for byte-budgeted caches — see internal/lru and plim.WithCacheBudget —
+// for byte-budgeted caches — see internal/memo and plim.WithCacheBudget —
 // the way diskcache.GC budgets the disk tier.
 func (m *MIG) MemSize() int {
 	const (
@@ -750,7 +750,7 @@ func (m *MIG) MemSize() int {
 // sequence share a fingerprint; any structural difference — an extra node,
 // a flipped complement, a reordered PO — changes it with overwhelming
 // probability. It is the function component of rewrite-memoization keys
-// (see internal/core.RewriteCache) and costs one O(n) sweep.
+// (see core.RewriteKey) and costs one O(n) sweep.
 func (m *MIG) Fingerprint() uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037) // FNV-1a offset basis

@@ -148,7 +148,7 @@ func RunContext(ctx context.Context, m *mig.MIG, pipeline []Pass, effort int, on
 	// sc's two arenas. The scratch is private to this call and dies with it,
 	// so the arena transfers ownership to the caller directly — cloning it
 	// here would only duplicate the result to throw one copy away. Callers
-	// that must not alias the input (core.RewriteCache) already clone on the
+	// that must not alias the input (core.CachedRewrite) already clone on the
 	// cur == m path themselves.
 	st.NodesAfter = cur.Statistics().MajNodes
 	st.CompHistAfter = cur.ComplementHistogram()

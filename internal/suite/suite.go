@@ -18,11 +18,14 @@
 package suite
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 
+	"plim/internal/diskcache"
 	"plim/internal/hdl"
+	"plim/internal/memo"
 	"plim/internal/mig"
 )
 
@@ -106,6 +109,54 @@ func BuildScaled(name string, shrink int) (*mig.MIG, error) {
 		}
 	}
 	return nil, fmt.Errorf("suite: unknown benchmark %q (have %v)", name, Names())
+}
+
+// Key identifies a memoized benchmark build.
+type Key struct {
+	Name   string
+	Shrink int
+}
+
+// Tier memoizes benchmark generator output per (name, shrink). Every
+// generator is deterministic, so a cached graph is structurally identical to
+// a fresh build. Cached graphs are shared and must be treated as read-only:
+// internal/tables hands them straight to the staged runner, while
+// plim.Engine.Benchmark clones before returning one to user code.
+type Tier = memo.Tier[Key, *mig.MIG]
+
+// NewTier returns a benchmark tier bounded at budget estimated bytes
+// (≤ 0 = unbounded), backed by d when non-nil.
+func NewTier(budget int, d *diskcache.Cache) *Tier {
+	o := memo.Options[Key, *mig.MIG]{
+		Budget: budget,
+		Cost:   (*mig.MIG).MemSize,
+		Probe:  "benchmark-probe",
+		Attr:   "benchmark",
+		Label:  func(k Key) string { return k.Name },
+	}
+	if d != nil {
+		o.Disk = benchDisk{d}
+	}
+	return memo.New(o)
+}
+
+// benchDisk adapts the persistent tier's benchmark entries.
+type benchDisk struct{ c *diskcache.Cache }
+
+func (d benchDisk) Probe(k Key) (*mig.MIG, diskcache.ProbeOutcome) {
+	return d.c.ProbeBenchmark(k.Name, k.Shrink)
+}
+
+func (d benchDisk) Store(k Key, m *mig.MIG) error { return d.c.StoreBenchmark(k.Name, k.Shrink, m) }
+
+// BuildCached is BuildScaled memoized through t; a nil t builds afresh. The
+// build itself ignores ctx (generators are fast and shared), but a caller
+// waiting on another caller's build stops waiting when ctx ends.
+func BuildCached(ctx context.Context, t *Tier, name string, shrink int) (*mig.MIG, error) {
+	if t == nil {
+		return BuildScaled(name, shrink)
+	}
+	return t.Get(ctx, Key{name, shrink}, func() (*mig.MIG, error) { return BuildScaled(name, shrink) })
 }
 
 func scaled(full, shrink, min int) int {

@@ -1,8 +1,11 @@
 package suite
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -410,12 +413,12 @@ func TestSyntheticBenchmarksUseEveryInput(t *testing.T) {
 // builds return one shared instance, structurally identical to a fresh
 // build, and distinct (name, shrink) keys get distinct entries.
 func TestCacheSharesDeterministicBuilds(t *testing.T) {
-	c := NewCache()
-	a, err := c.BuildScaled("ctrl", 4)
+	c := NewTier(0, nil)
+	a, err := BuildCached(t.Context(), c, "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.BuildScaled("ctrl", 4)
+	b, err := BuildCached(t.Context(), c, "ctrl", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,21 +432,21 @@ func TestCacheSharesDeterministicBuilds(t *testing.T) {
 	if a.Fingerprint() != fresh.Fingerprint() {
 		t.Fatal("cached build differs from a fresh build")
 	}
-	if _, err := c.BuildScaled("ctrl", 2); err != nil {
+	if _, err := BuildCached(t.Context(), c, "ctrl", 2); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
-	if _, err := c.BuildScaled("no-such-benchmark", 1); err == nil {
+	if _, err := BuildCached(t.Context(), c, "no-such-benchmark", 1); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
 	if c.Len() != 2 {
 		t.Fatal("errors must not be cached")
 	}
 	// A nil cache is the uncached path.
-	var nc *Cache
-	if _, err := nc.BuildScaled("ctrl", 4); err != nil {
+	var nc *Tier
+	if _, err := BuildCached(t.Context(), nc, "ctrl", 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -451,14 +454,14 @@ func TestCacheSharesDeterministicBuilds(t *testing.T) {
 // TestCacheConcurrentSingleflight hammers one key concurrently; all
 // callers must see the same instance.
 func TestCacheConcurrentSingleflight(t *testing.T) {
-	c := NewCache()
+	c := NewTier(0, nil)
 	var wg sync.WaitGroup
 	outs := make([]*mig.MIG, 8)
 	for i := range outs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := c.BuildScaled("router", 2)
+			m, err := BuildCached(t.Context(), c, "router", 2)
 			if err != nil {
 				t.Error(err)
 			}
@@ -497,15 +500,15 @@ func buildSize(t *testing.T, name string, shrink int) int {
 func TestCacheBudgetEvictsLRU(t *testing.T) {
 	sA, sB := buildSize(t, "ctrl", 8), buildSize(t, "i2c", 8)
 	budget := max(sA, sB)
-	c := NewCacheWithBudget(budget)
+	c := NewTier(budget, nil)
 	if c.Budget() != budget {
 		t.Fatalf("Budget = %d, want %d", c.Budget(), budget)
 	}
-	a1, err := c.BuildScaled("ctrl", 8)
+	a1, err := BuildCached(t.Context(), c, "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := c.BuildScaled("i2c", 8)
+	b1, err := BuildCached(t.Context(), c, "i2c", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +516,7 @@ func TestCacheBudgetEvictsLRU(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 1 (budget %d bytes)", c.Len(), budget)
 	}
 	// "i2c" is the survivor: it must still hit...
-	b2, err := c.BuildScaled("i2c", 8)
+	b2, err := BuildCached(t.Context(), c, "i2c", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +524,7 @@ func TestCacheBudgetEvictsLRU(t *testing.T) {
 		t.Fatal("survivor was evicted")
 	}
 	// ...and "ctrl" was evicted: it rebuilds into a fresh instance.
-	a2, err := c.BuildScaled("ctrl", 8)
+	a2, err := BuildCached(t.Context(), c, "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,25 +541,25 @@ func TestCacheBudgetEvictsLRU(t *testing.T) {
 // builds, but not all three.
 func TestCacheBudgetRespectsRecency(t *testing.T) {
 	sCtrl, sI2c, sRouter := buildSize(t, "ctrl", 8), buildSize(t, "i2c", 8), buildSize(t, "router", 8)
-	c := NewCacheWithBudget(sCtrl + max(sI2c, sRouter))
-	a1, err := c.BuildScaled("ctrl", 8)
+	c := NewTier(sCtrl+max(sI2c, sRouter), nil)
+	a1, err := BuildCached(t.Context(), c, "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.BuildScaled("i2c", 8); err != nil {
+	if _, err := BuildCached(t.Context(), c, "i2c", 8); err != nil {
 		t.Fatal(err)
 	}
 	// Refresh "ctrl", then insert a third key: "i2c" must be the victim.
-	if _, err := c.BuildScaled("ctrl", 8); err != nil {
+	if _, err := BuildCached(t.Context(), c, "ctrl", 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.BuildScaled("router", 8); err != nil {
+	if _, err := BuildCached(t.Context(), c, "router", 8); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
-	a2, err := c.BuildScaled("ctrl", 8)
+	a2, err := BuildCached(t.Context(), c, "ctrl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,18 +581,16 @@ func TestCacheDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := NewCache()
-	warm.SetDisk(disk)
-	if _, err := warm.BuildScaled("router", 2); err != nil {
+	warm := NewTier(0, disk)
+	if _, err := BuildCached(t.Context(), warm, "router", 2); err != nil {
 		t.Fatal(err)
 	}
 	if c := disk.Counters(); c.Stores != 1 || c.BenchmarkMisses != 1 {
 		t.Fatalf("cold build counters: %+v", c)
 	}
 
-	cold := NewCache()
-	cold.SetDisk(disk)
-	got, err := cold.BuildScaled("router", 2)
+	cold := NewTier(0, disk)
+	got, err := BuildCached(t.Context(), cold, "router", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,4 +601,51 @@ func TestCacheDiskTier(t *testing.T) {
 		t.Fatal("disk-served benchmark fingerprint differs from a fresh build")
 	}
 	mig.MustBeEquivalent(fresh, got, 2, 9)
+}
+
+// TestBuildWaiterHonoursCancel: a caller waiting on another caller's
+// in-flight benchmark build returns ctx.Err() once its context is
+// cancelled, while the build itself completes and is cached.
+func TestBuildWaiterHonoursCancel(t *testing.T) {
+	c := NewTier(0, nil)
+	release := make(chan struct{})
+	built := make(chan *mig.MIG)
+	go func() {
+		m, err := c.Get(context.Background(), Key{"ctrl", 4}, func() (*mig.MIG, error) {
+			<-release
+			return BuildScaled("ctrl", 4)
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		built <- m
+	}()
+	for c.Len() == 0 {
+		runtime.Gosched()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error)
+	go func() {
+		_, err := BuildCached(ctx, c, "ctrl", 4)
+		errc <- err
+	}()
+	for h, _ := c.Probes(); h == 0; h, _ = c.Probes() {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+	close(release)
+	m := <-built
+	got, err := BuildCached(t.Context(), c, "ctrl", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != m {
+		t.Fatal("completed build was not cached")
+	}
+	if h, miss := c.Probes(); h != 2 || miss != 1 {
+		t.Fatalf("probes = %d hits / %d misses, want 2 / 1", h, miss)
+	}
 }

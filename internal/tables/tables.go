@@ -34,9 +34,7 @@ type SuiteResult struct {
 }
 
 // Options configures a suite run. All fields are explicit: Effort 0 really
-// runs zero rewriting cycles and Workers/Shrink must be ≥ 1 (the legacy
-// zero-value-means-default normalization lives only in the deprecated
-// plim.RunSuite wrapper).
+// runs zero rewriting cycles and Workers/Shrink must be ≥ 1.
 type Options struct {
 	// Benchmarks to run; nil or empty means the full 18-benchmark suite.
 	Benchmarks []string
@@ -54,10 +52,10 @@ type Options struct {
 	// BenchCache, when non-nil, reuses benchmark generator output across
 	// runs (shared read-only instances). plim.Engine threads its cache
 	// through here.
-	BenchCache *suite.Cache
+	BenchCache *suite.Tier
 	// RewriteCache, when non-nil, memoizes rewrite stages across
 	// configurations, benchmarks and runs.
-	RewriteCache *core.RewriteCache
+	RewriteCache *core.RewriteTier
 	// Scratch, when non-nil, supplies reusable compile scratch state to
 	// every compile job of the run; nil uses the compile package's shared
 	// default pool.
@@ -163,7 +161,7 @@ func (sr *SuiteResult) addBenchmark(g *sched.Graph, idx int, name string, cfgs [
 			genErr = fmt.Errorf("tables: unknown benchmark %q", name)
 			return
 		}
-		built, err := opts.BenchCache.BuildScaledContext(ctx, name, opts.Shrink)
+		built, err := suite.BuildCached(ctx, opts.BenchCache, name, opts.Shrink)
 		if err != nil {
 			genErr = err
 			return

@@ -329,8 +329,8 @@ func TestStagedSuiteParity(t *testing.T) {
 		opts := quickOpts()
 		want := referenceSuite(t, cfgs, opts)
 		opts.Workers = 4
-		opts.BenchCache = suite.NewCache()
-		opts.RewriteCache = core.NewRewriteCache()
+		opts.BenchCache = suite.NewTier(0, nil)
+		opts.RewriteCache = core.NewRewriteTier(0, nil)
 		got, err := RunSuite(context.Background(), cfgs, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -452,8 +452,8 @@ func TestRunSuiteEmitsCompileEvents(t *testing.T) {
 // with a pointer at Options.CostModel.
 func TestTableCost(t *testing.T) {
 	opts := quickOpts()
-	opts.BenchCache = suite.NewCache()
-	opts.RewriteCache = core.NewRewriteCache()
+	opts.BenchCache = suite.NewTier(0, nil)
+	opts.RewriteCache = core.NewRewriteTier(0, nil)
 	opts.CostModel = cost.Default()
 	sr, err := RunSuite(context.Background(), core.TableIConfigs(), opts)
 	if err != nil {

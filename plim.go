@@ -16,8 +16,7 @@
 //	out, xbar, _ := plim.Execute(rep.Result.Program, inputs)  // run on the crossbar
 //
 // Engine methods accept a context.Context for cancellation and report
-// progress through typed events (WithProgress). The legacy free functions
-// Run and RunSuite remain as deprecated wrappers over a default engine.
+// progress through typed events (WithProgress).
 //
 // The paper's tables are regenerated by plim.TableI/TableII/TableIII (see
 // also cmd/plimtab), and the underlying subsystems — MIG construction and
@@ -27,7 +26,10 @@ package plim
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"plim/internal/compile"
 	"plim/internal/core"
@@ -89,9 +91,6 @@ type (
 	BenchmarkInfo = suite.Info
 	// SuiteResult is a benchmark × configuration report matrix.
 	SuiteResult = tables.SuiteResult
-	// SuiteOptions configures a suite run (used by the deprecated RunSuite;
-	// Engine.RunSuite derives it from the engine options).
-	SuiteOptions = tables.Options
 	// EquivalenceResult reports a simulation-based equivalence check.
 	EquivalenceResult = mig.EquivalenceResult
 	// Grid is a rendered table (text, Markdown, CSV).
@@ -158,6 +157,38 @@ var (
 // FullCap returns the full configuration with a maximum write cap
 // (the paper's Table III).
 func FullCap(w uint64) Config { return core.FullCap(w) }
+
+// ParseConfig resolves a configuration by name: one of naive, compiler21,
+// minwrite, rewriting or full (empty means full), optionally suffixed with
+// "+capN" for a maximum write count of N — the names FullCap and capped
+// Reports carry. A non-zero cap sets the same bound and must agree with the
+// suffix when both are given.
+func ParseConfig(name string, cap uint64) (Config, error) {
+	if name == "" {
+		name = "full"
+	}
+	base, suffix, hasSuffix := strings.Cut(name, "+cap")
+	if hasSuffix {
+		w, err := strconv.ParseUint(suffix, 10, 64)
+		if err != nil || w == 0 {
+			return Config{}, fmt.Errorf("plim: bad cap suffix in config %q", name)
+		}
+		if cap != 0 && cap != w {
+			return Config{}, fmt.Errorf("plim: config %q and cap %d disagree", name, cap)
+		}
+		cap = w
+	}
+	for _, cfg := range core.TableIConfigs() {
+		if cfg.Name == base {
+			if cap > 0 {
+				cfg.MaxWrites = cap
+				cfg.Name += fmt.Sprintf("+cap%d", cap)
+			}
+			return cfg, nil
+		}
+	}
+	return Config{}, fmt.Errorf("plim: unknown config %q", name)
+}
 
 // TableIConfigs returns the five Table I configurations in column order.
 func TableIConfigs() []Config { return core.TableIConfigs() }

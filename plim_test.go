@@ -1,6 +1,7 @@
 package plim
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestQuickstartFlow(t *testing.T) {
 	m.AddPO(m.Maj(a, b.Not(), c), "f")
 	m.AddPO(m.And(a, b), "g")
 
-	rep, err := Run(m, Full, DefaultEffort)
+	rep, err := NewEngine().Run(context.Background(), m, Full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestBuilderFacade(t *testing.T) {
 	sum, _ := b.Add(x, one, Const0)
 	b.Output("y", sum)
 
-	rep, err := Run(b.M, MinWrite, 2)
+	rep, err := NewEngine(WithEffort(2)).Run(context.Background(), b.M, MinWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestEnduranceFailureFacade(t *testing.T) {
 		x = m.And(x, a.NotIf(i%2 == 0))
 	}
 	m.AddPO(x, "f")
-	rep, err := Run(m, Naive, 0)
+	rep, err := NewEngine(WithEffort(0)).Run(context.Background(), m, Naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,8 @@ func TestEnduranceFailureFacade(t *testing.T) {
 }
 
 func TestSuiteFacade(t *testing.T) {
-	sr, err := RunSuite(TableIConfigs(), SuiteOptions{
-		Benchmarks: []string{"ctrl", "int2float"},
-		Effort:     1,
-		Shrink:     4,
-	})
+	eng := NewEngine(WithEffort(1), WithShrink(4))
+	sr, err := eng.RunSuite(context.Background(), TableIConfigs(), "ctrl", "int2float")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +158,56 @@ func TestSuiteFacade(t *testing.T) {
 	if _, err := TableII(sr); err != nil {
 		t.Fatal(err)
 	}
-	capped, err := RunSuite([]Config{FullCap(10), FullCap(20)}, SuiteOptions{
-		Benchmarks: []string{"ctrl"}, Effort: 1, Shrink: 4,
-	})
+	capped, err := eng.RunSuite(context.Background(), []Config{FullCap(10), FullCap(20)}, "ctrl")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := TableIII(capped); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseConfig covers every accepted configuration-name form and every
+// rejection.
+func TestParseConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cap       uint64
+		want      Config
+		wantError string
+	}{
+		{name: "naive", want: Naive},
+		{name: "compiler21", want: Compiler21},
+		{name: "minwrite", want: MinWrite},
+		{name: "rewriting", want: Rewriting},
+		{name: "full", want: Full},
+		{name: "", want: Full},
+		{name: "full+cap50", want: FullCap(50)},
+		{name: "full", cap: 50, want: FullCap(50)},
+		{name: "full+cap50", cap: 50, want: FullCap(50)},
+		{name: "", cap: 20, want: FullCap(20)},
+		{name: "naive+cap10", want: Config{Name: "naive+cap10", Rewrite: Naive.Rewrite, Selection: Naive.Selection, Alloc: Naive.Alloc, MaxWrites: 10}},
+		{name: "minwrite", cap: 7, want: Config{Name: "minwrite+cap7", Rewrite: MinWrite.Rewrite, Selection: MinWrite.Selection, Alloc: MinWrite.Alloc, MaxWrites: 7}},
+		{name: "turbo", wantError: `plim: unknown config "turbo"`},
+		{name: "Full", wantError: `plim: unknown config "Full"`},
+		{name: "+cap5", wantError: `plim: unknown config "+cap5"`},
+		{name: "turbo+cap5", wantError: `plim: unknown config "turbo+cap5"`},
+		{name: "full+capx", wantError: `plim: bad cap suffix in config "full+capx"`},
+		{name: "full+cap", wantError: `plim: bad cap suffix in config "full+cap"`},
+		{name: "full+cap0", wantError: `plim: bad cap suffix in config "full+cap0"`},
+		{name: "full+cap-1", wantError: `plim: bad cap suffix in config "full+cap-1"`},
+		{name: "full+cap5+cap5", wantError: `plim: bad cap suffix in config "full+cap5+cap5"`},
+		{name: "full+cap50", cap: 20, wantError: `plim: config "full+cap50" and cap 20 disagree`},
+	} {
+		got, err := ParseConfig(tc.name, tc.cap)
+		if tc.wantError != "" {
+			if err == nil || err.Error() != tc.wantError {
+				t.Errorf("ParseConfig(%q, %d) error = %v, want %s", tc.name, tc.cap, err, tc.wantError)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseConfig(%q, %d) = %+v, %v; want %+v", tc.name, tc.cap, got, err, tc.want)
+		}
 	}
 }
