@@ -52,13 +52,16 @@ type Engine struct {
 
 	// The memo tiers, populated at construction when cache is true:
 	// benchCache memoizes benchmark generator output, rwCache rewrite
-	// stages by (function fingerprint, pipeline, effort), plans bit-sliced
+	// stages by (function fingerprint, pipeline, effort), programs compiled
+	// programs by (rewrite, policy, cap, cost model), plans bit-sliced
 	// execution plans by program fingerprint (see Engine.ExecuteBatch).
 	// Each is byte-budgeted at cacheBudget estimated bytes (least-recently-
 	// used entries are evicted), so a long-lived engine fed a stream of
-	// distinct functions stays bounded.
+	// distinct functions stays bounded. Cached graphs are frozen
+	// (mig.MIG.Freeze).
 	benchCache *suite.Tier
 	rwCache    *core.RewriteTier
+	programs   *core.ProgramTier
 	plans      *memo.Tier[uint64, *exec.Plan]
 
 	// disk is the persistent second tier below the benchmark and rewrite
@@ -88,7 +91,8 @@ type Engine struct {
 }
 
 // DefaultCacheBudget is the default byte budget of each of the engine's
-// in-memory caches (benchmark builds, rewrite results, execution plans):
+// in-memory caches (benchmark builds, rewrite results, compiled programs,
+// execution plans):
 // 256 MiB of estimated resident size per tier. Entries hold whole MIGs
 // whose sizes vary by orders of magnitude, so the budget is accounted in
 // bytes (mig.MemSize estimates) rather than entry counts; a full paper
@@ -132,6 +136,7 @@ func NewEngine(opts ...Option) *Engine {
 	if e.cache {
 		e.benchCache = suite.NewTier(e.cacheBudget, e.disk)
 		e.rwCache = core.NewRewriteTier(e.cacheBudget, e.disk)
+		e.programs = core.NewProgramTier(e.cacheBudget)
 		e.plans = memo.New(memo.Options[uint64, *exec.Plan]{Budget: e.cacheBudget, Cost: (*exec.Plan).MemSize})
 	}
 	return e
@@ -180,10 +185,12 @@ func WithShrink(s int) Option {
 }
 
 // WithCache toggles the engine's memoization (default on): a benchmark
-// cache that reuses generator output across runs and a rewrite cache that
+// cache that reuses generator output across runs, a rewrite cache that
 // runs each distinct (function, pipeline, effort) rewrite once — so
-// regenerating Table III after Table I skips every algorithm-2 rewrite.
-// Results are bit-identical either way. Both caches are LRU-bounded (see
+// regenerating Table III after Table I skips every algorithm-2 rewrite —
+// and a program cache that compiles each (rewrite, policy, cap, cost
+// model) once. Results are bit-identical either way, and verification
+// (WithVerify) still runs on every call. The caches are LRU-bounded (see
 // WithCacheBudget), so even engines fed an unbounded stream of distinct
 // functions stay within budget; WithCache(false) turns memoization off
 // entirely.
@@ -192,7 +199,8 @@ func WithCache(enabled bool) Option {
 }
 
 // WithCacheBudget bounds each of the engine's in-memory caches (benchmark
-// builds, rewrite results, execution plans) to n estimated bytes; beyond
+// builds, rewrite results, compiled programs, execution plans) to n
+// estimated bytes; beyond
 // the budget least-recently-used entries are evicted. Cached entries hold
 // whole MIGs of wildly varying size, so the budget is accounted in bytes
 // (mig.MemSize), making it the engine's memory knob for server-style
@@ -437,8 +445,8 @@ func (e *Engine) Workers() int { return e.workers }
 // Shrink reports the engine's benchmark datapath divisor.
 func (e *Engine) Shrink() int { return e.shrink }
 
-// Cached reports whether the engine memoizes benchmark builds and rewrite
-// stages.
+// Cached reports whether the engine memoizes benchmark builds, rewrite
+// stages and compiled programs.
 func (e *Engine) Cached() bool { return e.cache }
 
 // CacheBudget reports the byte budget of each of the engine's in-memory
@@ -460,6 +468,7 @@ func (e *Engine) Run(ctx context.Context, m *MIG, cfg Config) (*Report, error) {
 		Effort:    e.effort,
 		Sched:     e.scheduler(),
 		Cache:     e.rwCache,
+		Programs:  e.programs,
 		Scratch:   e.scratch,
 		Progress:  e.observer(ctx),
 		Verify:    e.verify,
@@ -485,6 +494,7 @@ func (e *Engine) RunAll(ctx context.Context, m *MIG, cfgs []Config) ([]*Report, 
 		Effort:    e.effort,
 		Sched:     e.scheduler(),
 		Cache:     e.rwCache,
+		Programs:  e.programs,
 		Scratch:   e.scratch,
 		Progress:  e.observer(ctx),
 		Verify:    e.verify,
@@ -516,6 +526,7 @@ func (e *Engine) RunSuite(ctx context.Context, cfgs []Config, benchmarks ...stri
 		Progress:     e.observer(ctx),
 		BenchCache:   e.benchCache,
 		RewriteCache: e.rwCache,
+		ProgramCache: e.programs,
 		Scratch:      e.scratch,
 		Verify:       e.verify,
 		CostModel:    e.costModel,
@@ -552,6 +563,7 @@ func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResu
 	opts.Progress = e.observer(ctx)
 	opts.BenchCache = e.benchCache
 	opts.RewriteCache = e.rwCache
+	opts.ProgramCache = e.programs
 	opts.Scratch = e.scratch
 	opts.Verify = opts.Verify || e.verify
 	return core.Explore(ctx, opts)
@@ -604,6 +616,19 @@ func (e *Engine) BenchmarkScaled(name string, shrink int) (*MIG, error) {
 // build records a generate span with the cache probe nested inside, so
 // traced requests account for benchmark generation, not just the compile.
 func (e *Engine) BenchmarkScaledContext(ctx context.Context, name string, shrink int) (*MIG, error) {
+	m, err := e.SharedBenchmark(ctx, name, shrink)
+	if err != nil || e.benchCache == nil {
+		return m, err // an uncached build is already private
+	}
+	return m.Clone(), nil
+}
+
+// SharedBenchmark is BenchmarkScaledContext without the private copy: with
+// caching on it returns the engine's cached graph itself, frozen
+// (MIG.Freeze) and shared with every other caller — read it, run or
+// compile it, but call Clone before mutating. Servers feed it straight to
+// Run, so warm requests neither copy nor re-fingerprint the benchmark.
+func (e *Engine) SharedBenchmark(ctx context.Context, name string, shrink int) (*MIG, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
@@ -612,14 +637,7 @@ func (e *Engine) BenchmarkScaledContext(ctx context.Context, name string, shrink
 	}
 	ctx, sp := e.traceSpan(ctx, "generate", name)
 	defer sp.End()
-	if e.benchCache == nil {
-		return suite.BuildScaled(name, shrink)
-	}
-	m, err := suite.BuildCached(ctx, e.benchCache, name, shrink)
-	if err != nil {
-		return nil, err
-	}
-	return m.Clone(), nil
+	return suite.BuildCached(ctx, e.benchCache, name, shrink)
 }
 
 // MemoryCacheLens reports how many entries the engine's in-memory caches
@@ -633,11 +651,22 @@ func (e *Engine) MemoryCacheLens() (rewrites, benchmarks int) {
 // MemoryCacheProbes reports the in-memory tiers' probe counters summed over
 // the rewrite and benchmark caches: hits include probes that attached to an
 // in-flight singleflight computation. Servers export these as
-// plimserve_cache_probe_total{tier="memory"}.
+// plimserve_cache_probe_total{tier="memory"}. The program cache reports
+// separately, through ProgramCacheStats.
 func (e *Engine) MemoryCacheProbes() (hits, misses uint64) {
 	rh, rm := e.rwCache.Probes()
 	bh, bm := e.benchCache.Probes()
 	return rh + bh, rm + bm
+}
+
+// ProgramCacheStats reports the compiled-program cache: its probe counters
+// (hits include probes that attached to an in-flight compile) and its
+// entry count. All are 0 with WithCache(false). Servers export these as
+// plimserve_cache_probe_total{tier="program"} and
+// plimserve_cache_memory_entries{kind="program"}.
+func (e *Engine) ProgramCacheStats() (hits, misses uint64, entries int) {
+	hits, misses = e.programs.Probes()
+	return hits, misses, e.programs.Len()
 }
 
 // plan returns the bit-sliced execution plan for p, memoized by program

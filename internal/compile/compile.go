@@ -104,6 +104,20 @@ type Result struct {
 	Cost *cost.Cost
 }
 
+// MemSize estimates the result's resident size in bytes — the program's
+// instruction and interface tables plus the write counts — for
+// byte-budgeted caches (core.ProgramTier).
+func (r *Result) MemSize() int {
+	const (
+		header    = 160 // Result, Program and Cost structs
+		instBytes = 20  // two 8-byte operands + destination
+		poBytes   = 8
+	)
+	p := r.Program
+	return header + len(p.Name) + len(p.Insts)*instBytes + len(p.PICells)*4 +
+		len(p.POs)*poBytes + len(r.WriteCounts)*8
+}
+
 // Compile translates m into a PLiM program, drawing scratch state from the
 // package's shared pool.
 func Compile(m *mig.MIG, opts Options) (*Result, error) {

@@ -100,7 +100,9 @@ func TableIConfigs() []Config {
 type Report struct {
 	Config  Config
 	Rewrite rewrite.Stats
-	Result  *compile.Result
+	// Result may be shared with other reports through a program tier
+	// (StagedOptions.Programs, the engine's cache): treat it as read-only.
+	Result *compile.Result
 	// Writes summarizes the per-device write counts (paper's min/max/STDEV).
 	Writes stats.Summary
 	// Verify is the static verification report for the compiled program;
@@ -192,7 +194,7 @@ type Rewritten struct {
 }
 
 // RewriteTier memoizes rewriting runs across configurations, benchmarks and
-// engine calls, charging each result its graph's estimated size.
+// engine calls, charging each result its frozen graph's estimated size.
 type RewriteTier = memo.Tier[RewriteKey, Rewritten]
 
 // NewRewriteTier returns a rewrite tier bounded at budget estimated bytes
@@ -216,6 +218,9 @@ type rewriteDisk struct{ c *diskcache.Cache }
 
 func (d rewriteDisk) Probe(k RewriteKey) (Rewritten, diskcache.ProbeOutcome) {
 	m, st, out := d.c.ProbeRewrite(k.FP, uint8(k.Kind), k.Effort)
+	if out == diskcache.ProbeHit {
+		m.Freeze() // published as a shared tier entry
+	}
 	return Rewritten{m, st}, out
 }
 
@@ -225,25 +230,38 @@ func (d rewriteDisk) Store(k RewriteKey, r Rewritten) error {
 
 // CachedRewrite is Rewrite memoized through t; a nil t rewrites directly.
 // On a hit no progress events are emitted — the rewrite simply did not run
-// again — and the result is shared: callers must not mutate it.
+// again — and the result is shared and frozen (mig.MIG.Freeze): callers
+// must not mutate it.
 func CachedRewrite(ctx context.Context, t *RewriteTier, m *mig.MIG, kind RewriteKind, effort int, obs progress.Func, label string) (*mig.MIG, rewrite.Stats, error) {
+	var fp uint64
+	if t != nil {
+		fp = m.Fingerprint()
+	}
+	return cachedRewrite(ctx, t, RewriteKey{fp, kind, effort}, m, obs, label)
+}
+
+// cachedRewrite is CachedRewrite with the key's fingerprint already taken.
+func cachedRewrite(ctx context.Context, t *RewriteTier, key RewriteKey, m *mig.MIG, obs progress.Func, label string) (*mig.MIG, rewrite.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		// Checked up front so a cancelled caller never races a ready cache
 		// hit into returning a result.
 		return nil, rewrite.Stats{}, err
 	}
 	if t == nil {
-		return Rewrite(ctx, m, kind, effort, obs, label)
+		return Rewrite(ctx, m, key.Kind, key.Effort, obs, label)
 	}
-	r, err := t.Get(ctx, RewriteKey{m.Fingerprint(), kind, effort}, func() (Rewritten, error) {
-		out, st, err := Rewrite(ctx, m, kind, effort, obs, label)
-		if err == nil && out == m {
-			// Effort 0 (or RewriteNone on an already-clean graph) can hand
-			// the caller's own MIG back; the tier must never retain a graph
-			// the caller may keep mutating.
+	r, err := t.Get(ctx, key, func() (Rewritten, error) {
+		out, st, err := Rewrite(ctx, m, key.Kind, key.Effort, obs, label)
+		if err != nil {
+			return Rewritten{}, err
+		}
+		if out == m && !m.Frozen() {
+			// Effort 0 can hand the caller's own MIG back; the tier must
+			// never retain a graph the caller may keep mutating.
 			out = m.Clone()
 		}
-		return Rewritten{out, st}, err
+		out.Freeze()
+		return Rewritten{out, st}, nil
 	})
 	return r.M, r.Stats, err
 }
@@ -265,6 +283,38 @@ func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int, obs progress.F
 	return CompileConfig(ctx, cur, cfg, st, obs, nil, false, nil)
 }
 
+// ProgramKey identifies a memoized compilation: the rewrite that produced
+// the compiled graph plus every compile.Options input a configuration sets.
+// The cost model is keyed by value, so engines with equal models share
+// entries; Priced distinguishes an unpriced compile from a zero model.
+type ProgramKey struct {
+	Rewrite   RewriteKey
+	Selection compile.Selection
+	Alloc     alloc.Kind
+	MaxWrites uint64
+	Model     cost.Model
+	Priced    bool
+}
+
+// ProgramTier memoizes compiled programs across calls: for a given rewrite
+// and policy the compiled program is a pure function of its key, so warm
+// requests skip compilation. Entries are shared *compile.Result values and
+// must be treated as read-only; verification and the Report stay per call.
+type ProgramTier = memo.Tier[ProgramKey, *compile.Result]
+
+// NewProgramTier returns a program tier bounded at budget estimated bytes
+// (≤ 0 = unbounded). Programs are never persisted: the tier has no disk
+// leg.
+func NewProgramTier(budget int) *ProgramTier {
+	return memo.New(memo.Options[ProgramKey, *compile.Result]{
+		Budget: budget,
+		Cost:   (*compile.Result).MemSize,
+		Probe:  "program-probe",
+		Attr:   "fp",
+		Label:  func(k ProgramKey) string { return fmt.Sprintf("%016x", k.Rewrite.FP) },
+	})
+}
+
 // CompileConfig runs the compile/alloc stage of one configuration on an
 // already-rewritten MIG, emitting CompileStart/CompileDone progress events.
 // rst is the rewriting statistics to attach to the report (the staged
@@ -282,6 +332,13 @@ func Run(ctx context.Context, m *mig.MIG, cfg Config, effort int, obs progress.F
 // with doVerify additionally set, static-vs-allocator cost parity is
 // checked and a divergence fails the compile like any other violation.
 func CompileConfig(ctx context.Context, rewritten *mig.MIG, cfg Config, rst rewrite.Stats, obs progress.Func, pool *compile.ScratchPool, doVerify bool, cm *cost.Model) (*Report, error) {
+	return compileConfig(ctx, nil, RewriteKey{}, rewritten, cfg, rst, obs, pool, doVerify, cm)
+}
+
+// compileConfig is CompileConfig served through the program tier t when
+// non-nil, rk naming the rewrite that produced rewritten. Hit or miss, the
+// progress events are emitted, the report is fresh and verification runs.
+func compileConfig(ctx context.Context, t *ProgramTier, rk RewriteKey, rewritten *mig.MIG, cfg Config, rst rewrite.Stats, obs progress.Func, pool *compile.ScratchPool, doVerify bool, cm *cost.Model) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -293,12 +350,22 @@ func CompileConfig(ctx context.Context, rewritten *mig.MIG, cfg Config, rst rewr
 		MaxWrites: cfg.MaxWrites,
 		CostModel: cm,
 	}
+	compute := func() (*compile.Result, error) {
+		if pool != nil {
+			return compile.CompileWith(rewritten, copts, pool)
+		}
+		return compile.Compile(rewritten, copts)
+	}
 	var res *compile.Result
 	var err error
-	if pool != nil {
-		res, err = compile.CompileWith(rewritten, copts, pool)
+	if t != nil {
+		key := ProgramKey{Rewrite: rk, Selection: cfg.Selection, Alloc: cfg.Alloc, MaxWrites: cfg.MaxWrites}
+		if cm != nil {
+			key.Model, key.Priced = *cm, true
+		}
+		res, err = t.Get(ctx, key, compute)
 	} else {
-		res, err = compile.Compile(rewritten, copts)
+		res, err = compute()
 	}
 	done := progress.CompileDone{
 		Function: rewritten.Name, Config: cfg.Name,
@@ -385,6 +452,9 @@ type StagedOptions struct {
 	Sched *sched.Pool
 	// Cache memoizes rewrite stages across calls; nil rewrites afresh.
 	Cache *RewriteTier
+	// Programs memoizes compiled programs across calls; nil compiles
+	// afresh.
+	Programs *ProgramTier
 	// Scratch, when non-nil, supplies reusable compile scratch state to the
 	// per-configuration compile jobs (plim.Engine threads its pool through
 	// here); nil uses the compile package's shared default pool.
@@ -415,6 +485,7 @@ type StagedOptions struct {
 // task depending on all of them, or after Graph.Wait).
 func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Config, opts StagedOptions, out []*Report) (leaves []*sched.Task, finish func() error) {
 	stages := Plan(cfgs)
+	rks := make([]RewriteKey, len(stages))
 	rms := make([]*mig.MIG, len(stages))
 	rsts := make([]rewrite.Stats, len(stages))
 	rwErrs := make([]error, len(stages))
@@ -427,14 +498,20 @@ func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Co
 			if m == nil {
 				return // upstream failure; its error is reported there
 			}
-			rms[si], rsts[si], rwErrs[si] = CachedRewrite(ctx, opts.Cache, m, st.Kind, opts.Effort, opts.Progress, label)
+			rks[si] = RewriteKey{Kind: st.Kind, Effort: opts.Effort}
+			if opts.Cache != nil || opts.Programs != nil {
+				// One fingerprint keys both the rewrite and the program
+				// probes (O(1) on the tiers' frozen graphs).
+				rks[si].FP = m.Fingerprint()
+			}
+			rms[si], rsts[si], rwErrs[si] = cachedRewrite(ctx, opts.Cache, rks[si], m, opts.Progress, label)
 		}, dep)
 		for _, ci := range st.Configs {
 			ct := g.Task(sched.KindCompile, cfgs[ci].Name, func(ctx context.Context) {
 				if rms[si] == nil {
 					return // stage rewrite failed or was skipped
 				}
-				out[ci], cmpErrs[ci] = CompileConfig(ctx, rms[si], cfgs[ci], rsts[si], opts.Progress, opts.Scratch, opts.Verify, opts.CostModel)
+				out[ci], cmpErrs[ci] = compileConfig(ctx, opts.Programs, rks[si], rms[si], cfgs[ci], rsts[si], opts.Progress, opts.Scratch, opts.Verify, opts.CostModel)
 			}, rw)
 			leaves = append(leaves, ct)
 		}

@@ -401,7 +401,8 @@ func TestRewriteCacheNeverRetainsCallerMIG(t *testing.T) {
 // over-budget completions evict the least-recently-used entry, an evicted
 // key recomputes (new instance), and a recently-touched key survives. The
 // byte budget is derived from the actual result sizes so it holds m1 plus
-// either other result, but not all three.
+// either other result, but not all three. Cached results are frozen, so
+// the sizes are those of the frozen graphs.
 func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 	m1 := randomMIG("f1", 6, 60, 4, 1)
 	m2 := randomMIG("f2", 6, 60, 4, 2)
@@ -411,6 +412,7 @@ func TestRewriteCacheBudgetEvictsLRU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		out.Freeze()
 		return out.MemSize()
 	}
 	s1, s2, s3 := resultSize(m1), resultSize(m2), resultSize(m3)

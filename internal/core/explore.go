@@ -55,6 +55,9 @@ type ExploreOptions struct {
 	// the axis product makes this the difference between O(points) and
 	// O(distinct rewrites) graph work.
 	RewriteCache *RewriteTier
+	// ProgramCache, when non-nil, memoizes compiled programs across
+	// sweeps (keyed under Models[0], the model the sweep compiles with).
+	ProgramCache *ProgramTier
 	// Scratch, when non-nil, supplies reusable compile scratch state.
 	Scratch *compile.ScratchPool
 	// Verify statically verifies every compiled program, including
@@ -191,6 +194,7 @@ func Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 				_, finish := StagedGraph(g, gen, func() *mig.MIG { return migs[gi] }, opts.Configs, StagedOptions{
 					Effort:    effort,
 					Cache:     opts.RewriteCache,
+					Programs:  opts.ProgramCache,
 					Scratch:   opts.Scratch,
 					Progress:  opts.Progress,
 					Verify:    opts.Verify,

@@ -99,6 +99,9 @@ type node struct {
 //
 // Nodes are created in topological order: a majority node's children always
 // have smaller NodeIDs, so iterating ids ascending is a topological sweep.
+//
+// A graph that is about to be shared read-only (a cache entry) is frozen
+// with Freeze: see there.
 type MIG struct {
 	Name string
 
@@ -109,6 +112,42 @@ type MIG struct {
 	poNames []string
 
 	strash map[[3]Signal]NodeID
+
+	// frozen graphs have no strash and answer Fingerprint from fp.
+	frozen bool
+	fp     uint64
+}
+
+// Freeze makes m read-only for sharing: it drops the structural-hash map
+// (most of a graph's estimated size, see MemSize) and records the fingerprint,
+// so Fingerprint becomes O(1). Reads — traversal, simulation, rewriting and
+// compiling from m, Clone — are unaffected; every mutator (Maj, RawMaj,
+// LookupMaj, AddPI, AddPO, SetPO, Reset) panics, and Name must not be
+// reassigned. Clone returns a fully mutable copy with the strash rebuilt.
+// Freeze is idempotent and must happen before m is published to other
+// goroutines.
+func (m *MIG) Freeze() {
+	if m.frozen {
+		return
+	}
+	m.fp = m.Fingerprint()
+	m.frozen = true
+	m.strash = nil
+}
+
+// Frozen reports whether Freeze was called on m.
+func (m *MIG) Frozen() bool { return m.frozen }
+
+// mutable panics when m is frozen; op names the rejected mutator. It stays
+// small enough to inline into the Maj hot path.
+func (m *MIG) mutable(op string) {
+	if m.frozen {
+		panicFrozen(m.Name, op)
+	}
+}
+
+func panicFrozen(name, op string) {
+	panic(fmt.Sprintf("mig: %s on frozen graph %q", op, name))
 }
 
 // New returns an empty MIG containing only the constant node. The
@@ -146,6 +185,7 @@ func NewSized(name string, nodeCap int) *MIG {
 // cleared (keeping its buckets) and the PI/PO tables drop to zero length.
 // It must only be called on MIGs obtained from New or NewSized.
 func (m *MIG) Reset(name string) {
+	m.mutable("Reset")
 	m.Name = name
 	m.nodes = m.nodes[:1]
 	m.nodes[0] = node{kind: KindConst}
@@ -201,10 +241,14 @@ func (m *MIG) PO(i int) Signal { return m.pos[i] }
 func (m *MIG) POName(i int) string { return m.poNames[i] }
 
 // SetPO redirects primary output i to signal s.
-func (m *MIG) SetPO(i int, s Signal) { m.pos[i] = s }
+func (m *MIG) SetPO(i int, s Signal) {
+	m.mutable("SetPO")
+	m.pos[i] = s
+}
 
 // AddPI appends a primary input and returns its (uncomplemented) signal.
 func (m *MIG) AddPI(name string) Signal {
+	m.mutable("AddPI")
 	id := NodeID(len(m.nodes))
 	m.nodes = append(m.nodes, node{kind: KindPI, piIndex: int32(len(m.piNodes))})
 	m.piNodes = append(m.piNodes, id)
@@ -214,6 +258,7 @@ func (m *MIG) AddPI(name string) Signal {
 
 // AddPO appends a primary output driven by s and returns its index.
 func (m *MIG) AddPO(s Signal, name string) int {
+	m.mutable("AddPO")
 	m.pos = append(m.pos, s)
 	m.poNames = append(m.poNames, name)
 	return len(m.pos) - 1
@@ -240,6 +285,7 @@ func sort3(a, b, c Signal) [3]Signal {
 // equivalent nodes are shared, so the returned signal may reference an
 // existing node or be a constant.
 func (m *MIG) Maj(a, b, c Signal) Signal {
+	m.mutable("Maj")
 	// Ω.M: two equal children decide; complementary children elect the third.
 	if s, ok := TrivialMaj(a, b, c); ok {
 		return s
@@ -283,6 +329,7 @@ func TrivialMaj(a, b, c Signal) (Signal, bool) {
 // already exists. The rewriting passes use it to decide whether a candidate
 // transformation is free.
 func (m *MIG) LookupMaj(a, b, c Signal) (Signal, bool) {
+	m.mutable("LookupMaj")
 	if s, ok := TrivialMaj(a, b, c); ok {
 		return s, true
 	}
@@ -296,6 +343,7 @@ func (m *MIG) LookupMaj(a, b, c Signal) (Signal, bool) {
 // and sorted). It is used by tests and by deserialization, where the input
 // graph's exact structure must be preserved.
 func (m *MIG) RawMaj(a, b, c Signal) Signal {
+	m.mutable("RawMaj")
 	key := sort3(a, b, c)
 	if id, ok := m.strash[key]; ok {
 		return MakeSignal(id, false)
@@ -567,17 +615,33 @@ func (s Stats) String() string {
 		s.PIs, s.POs, s.MajNodes, s.Depth, s.ComplementHist, s.ComplementedPOs)
 }
 
-// Clone returns a deep copy of the MIG.
+// Clone returns a deep, mutable copy of the MIG. The copy of a frozen
+// graph gets its structural-hash map rebuilt from the nodes, so it accepts
+// Maj exactly like a copy of the graph before freezing.
 func (m *MIG) Clone() *MIG {
-	return &MIG{
+	c := &MIG{
 		Name:    m.Name,
 		nodes:   append([]node(nil), m.nodes...),
 		piNodes: append([]NodeID(nil), m.piNodes...),
 		piNames: append([]string(nil), m.piNames...),
 		pos:     append([]Signal(nil), m.pos...),
 		poNames: append([]string(nil), m.poNames...),
-		strash:  maps.Clone(m.strash),
 	}
+	if !m.frozen {
+		c.strash = maps.Clone(m.strash)
+		return c
+	}
+	// Maj and RawMaj index every node they create and never create a second
+	// node for an indexed key, so the first node per key is its entry.
+	c.strash = make(map[[3]Signal]NodeID, m.NumMaj())
+	for i := range c.nodes {
+		if n := &c.nodes[i]; n.kind == KindMaj {
+			if _, dup := c.strash[n.children]; !dup {
+				c.strash[n.children] = NodeID(i)
+			}
+		}
+	}
+	return c
 }
 
 // Cleanup returns a copy of the MIG with dangling (unreachable) majority
@@ -750,8 +814,11 @@ func (m *MIG) MemSize() int {
 // sequence share a fingerprint; any structural difference — an extra node,
 // a flipped complement, a reordered PO — changes it with overwhelming
 // probability. It is the function component of rewrite-memoization keys
-// (see core.RewriteKey) and costs one O(n) sweep.
+// (see core.RewriteKey) and costs one O(n) sweep — O(1) on a frozen graph.
 func (m *MIG) Fingerprint() uint64 {
+	if m.frozen {
+		return m.fp
+	}
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	mix := func(v uint64) {

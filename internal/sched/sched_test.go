@@ -22,11 +22,16 @@ func TestSingleWorkerDepthFirstOrder(t *testing.T) {
 	rec := func(name string) func(context.Context) {
 		return func(context.Context) { order = append(order, name) }
 	}
-	a := g.Task(KindGenerate, "a", rec("a"))
+	// a holds until the graph is built: dependents attached after their
+	// dependency finished are injected as fresh roots, not pushed as
+	// newly-ready dependents, so a racing a would test something else.
+	built := make(chan struct{})
+	a := g.Task(KindGenerate, "a", func(ctx context.Context) { <-built; rec("a")(ctx) })
 	b1 := g.Task(KindRewrite, "b1", rec("b1"), a)
 	b2 := g.Task(KindRewrite, "b2", rec("b2"), a)
 	g.Task(KindCompile, "c1", rec("c1"), b1)
 	g.Task(KindCompile, "c2", rec("c2"), b2)
+	close(built)
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +159,34 @@ func TestStealsOccur(t *testing.T) {
 	p := New(4)
 	defer p.Stop()
 	g := p.NewGraph(context.Background(), GraphOptions{})
-	root := g.Task(KindGenerate, "root", func(context.Context) {})
+	// root blocks until the whole fan-out is attached: a root that finished
+	// first would leave later tasks dependency-free, injected globally and
+	// never stolen. The fan-out then becomes ready at once on the root's
+	// worker deque, and every fan task holds its worker until some other
+	// worker has stolen, so the steal is awaited rather than raced against
+	// the owner draining its deque alone. The deadline only bounds a broken
+	// scheduler.
+	built := make(chan struct{})
+	root := g.Task(KindGenerate, "root", func(context.Context) { <-built })
+	stolen := func() bool {
+		for _, s := range p.Stats().Steals {
+			if s > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(10 * time.Second)
 	var n atomic.Int64
 	for i := 0; i < 64; i++ {
 		g.Task(KindCompile, "fan", func(context.Context) {
-			time.Sleep(time.Millisecond)
+			for !stolen() && time.Now().Before(deadline) {
+				time.Sleep(50 * time.Microsecond)
+			}
 			n.Add(1)
 		}, root)
 	}
+	close(built)
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}

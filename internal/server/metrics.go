@@ -236,8 +236,10 @@ func (m *metrics) render(s *Server) string {
 		fmt.Fprintf(&b, "plimserve_sched_task_seconds_count{kind=%q} %d\n", k.String(), h.Count)
 	}
 	rw, bench := s.eng.MemoryCacheLens()
+	ph, pm, progs := s.eng.ProgramCacheStats()
 	header(&b, "plimserve_cache_memory_entries", "gauge", "Entries held by the in-memory cache tier, by kind.")
 	fmt.Fprintf(&b, "plimserve_cache_memory_entries{kind=\"benchmark\"} %d\n", bench)
+	fmt.Fprintf(&b, "plimserve_cache_memory_entries{kind=\"program\"} %d\n", progs)
 	fmt.Fprintf(&b, "plimserve_cache_memory_entries{kind=\"rewrite\"} %d\n", rw)
 
 	// Probe outcomes across both tiers under one family, so hit ratios per
@@ -245,10 +247,15 @@ func (m *metrics) render(s *Server) string {
 	// the subset of probes rejected by fingerprint re-verification alone;
 	// it is split out of miss so the outcomes partition the probes.
 	diskStats, hasDisk := s.eng.PersistentCacheStats()
-	header(&b, "plimserve_cache_probe_total", "counter", "Cache probes, by tier (memory, disk) and outcome (hit, miss, verify_miss).")
+	// The program tier (compiled programs, memory only) has its own tier
+	// label, so tier="memory" keeps counting the rewrite and benchmark
+	// tiers alone.
+	header(&b, "plimserve_cache_probe_total", "counter", "Cache probes, by tier (memory, program, disk) and outcome (hit, miss, verify_miss).")
 	mh, mm := s.eng.MemoryCacheProbes()
 	fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"memory\",outcome=\"hit\"} %d\n", mh)
 	fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"memory\",outcome=\"miss\"} %d\n", mm)
+	fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"program\",outcome=\"hit\"} %d\n", ph)
+	fmt.Fprintf(&b, "plimserve_cache_probe_total{tier=\"program\",outcome=\"miss\"} %d\n", pm)
 	if hasDisk {
 		miss := diskStats.RewriteMisses + diskStats.BenchmarkMisses
 		vm := diskStats.VerifyMisses

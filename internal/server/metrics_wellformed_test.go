@@ -176,7 +176,40 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		}
 	}
 
+	// The compile and the execute share one (ctrl, full) program: the
+	// program tier compiled it once and served the execute from memory.
+	want := map[string]float64{
+		`plimserve_cache_probe_total{outcome="hit",tier="program"}`:  1,
+		`plimserve_cache_probe_total{outcome="miss",tier="program"}`: 1,
+		`plimserve_cache_memory_entries{kind="program"}`:             1,
+	}
+	for _, s := range samples {
+		if w, ok := want[sampleID(s)]; ok {
+			if s.value != w {
+				t.Fatalf("%s = %g, want %g", sampleID(s), s.value, w)
+			}
+			delete(want, sampleID(s))
+		}
+	}
+	for id := range want {
+		t.Fatalf("sample %s missing from scrape", id)
+	}
+
 	checkHistograms(t, samples, typ)
+}
+
+// sampleID renders a sample as name{labels}, labels sorted by key.
+func sampleID(s metricSample) string {
+	keys := make([]string, 0, len(s.labels))
+	for k := range s.labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = fmt.Sprintf("%s=%q", k, s.labels[k])
+	}
+	return s.name + "{" + strings.Join(parts, ",") + "}"
 }
 
 // checkHistograms verifies, per histogram series (family × non-le labels):

@@ -239,8 +239,10 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (computeR
 }
 
 // sourceMIG resolves the request's function source. Benchmark sources
-// return a loader (so cache-served flights never build eagerly); netlist
-// sources parse immediately — the fingerprint is the coalescing key.
+// return a loader (so cache-served flights never build eagerly) that reads
+// the engine's frozen cached graph without copying it; netlist sources
+// parse immediately — the fingerprint is the coalescing key. Either way
+// the loaded graph is read-only.
 func (s *Server) sourceMIG(req computeRequest) (key string, shrink int, load func(ctx context.Context) (*plim.MIG, error), err error) {
 	shrink = req.Shrink
 	if shrink == 0 {
@@ -255,7 +257,7 @@ func (s *Server) sourceMIG(req computeRequest) (key string, shrink int, load fun
 		}
 		name := req.Benchmark
 		return fmt.Sprintf("bench:%s@%d", name, shrink), shrink,
-			func(ctx context.Context) (*plim.MIG, error) { return s.eng.BenchmarkScaledContext(ctx, name, shrink) }, nil
+			func(ctx context.Context) (*plim.MIG, error) { return s.eng.SharedBenchmark(ctx, name, shrink) }, nil
 	case req.Netlist != "":
 		if req.Shrink != 0 {
 			return "", 0, nil, badRequest{"shrink applies to benchmark sources only"}
@@ -264,6 +266,7 @@ func (s *Server) sourceMIG(req computeRequest) (key string, shrink int, load fun
 		if err != nil {
 			return "", 0, nil, badRequest{fmt.Sprintf("invalid netlist: %s", err)}
 		}
+		m.Freeze() // fingerprinted once, here, for the key and the engine's tiers
 		return fmt.Sprintf("mig:%016x", m.Fingerprint()), 0,
 			func(context.Context) (*plim.MIG, error) { return m, nil }, nil
 	}

@@ -119,9 +119,9 @@ type Key struct {
 
 // Tier memoizes benchmark generator output per (name, shrink). Every
 // generator is deterministic, so a cached graph is structurally identical to
-// a fresh build. Cached graphs are shared and must be treated as read-only:
-// internal/tables hands them straight to the staged runner, while
-// plim.Engine.Benchmark clones before returning one to user code.
+// a fresh build. Cached graphs are shared and frozen (mig.MIG.Freeze):
+// internal/tables and plimserve hand them straight to the staged runner,
+// while plim.Engine.Benchmark clones before returning one to user code.
 type Tier = memo.Tier[Key, *mig.MIG]
 
 // NewTier returns a benchmark tier bounded at budget estimated bytes
@@ -144,19 +144,30 @@ func NewTier(budget int, d *diskcache.Cache) *Tier {
 type benchDisk struct{ c *diskcache.Cache }
 
 func (d benchDisk) Probe(k Key) (*mig.MIG, diskcache.ProbeOutcome) {
-	return d.c.ProbeBenchmark(k.Name, k.Shrink)
+	m, out := d.c.ProbeBenchmark(k.Name, k.Shrink)
+	if out == diskcache.ProbeHit {
+		m.Freeze() // published as a shared tier entry
+	}
+	return m, out
 }
 
 func (d benchDisk) Store(k Key, m *mig.MIG) error { return d.c.StoreBenchmark(k.Name, k.Shrink, m) }
 
-// BuildCached is BuildScaled memoized through t; a nil t builds afresh. The
-// build itself ignores ctx (generators are fast and shared), but a caller
-// waiting on another caller's build stops waiting when ctx ends.
+// BuildCached is BuildScaled memoized through t; a nil t builds afresh. A
+// cached graph is frozen before it is published. The build itself ignores
+// ctx (generators are fast and shared), but a caller waiting on another
+// caller's build stops waiting when ctx ends.
 func BuildCached(ctx context.Context, t *Tier, name string, shrink int) (*mig.MIG, error) {
 	if t == nil {
 		return BuildScaled(name, shrink)
 	}
-	return t.Get(ctx, Key{name, shrink}, func() (*mig.MIG, error) { return BuildScaled(name, shrink) })
+	return t.Get(ctx, Key{name, shrink}, func() (*mig.MIG, error) {
+		m, err := BuildScaled(name, shrink)
+		if err == nil {
+			m.Freeze()
+		}
+		return m, err
+	})
 }
 
 func scaled(full, shrink, min int) int {

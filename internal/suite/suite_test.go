@@ -489,6 +489,7 @@ func buildSize(t *testing.T, name string, shrink int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Freeze() // the size a cached (frozen) build is charged
 	return m.MemSize()
 }
 

@@ -56,6 +56,9 @@ type Options struct {
 	// RewriteCache, when non-nil, memoizes rewrite stages across
 	// configurations, benchmarks and runs.
 	RewriteCache *core.RewriteTier
+	// ProgramCache, when non-nil, memoizes compiled programs across
+	// benchmarks and runs.
+	ProgramCache *core.ProgramTier
 	// Scratch, when non-nil, supplies reusable compile scratch state to
 	// every compile job of the run; nil uses the compile package's shared
 	// default pool.
@@ -177,6 +180,7 @@ func (sr *SuiteResult) addBenchmark(g *sched.Graph, idx int, name string, cfgs [
 	leaves, finish := core.StagedGraph(g, gen, func() *mig.MIG { return m }, cfgs, core.StagedOptions{
 		Effort:    opts.Effort,
 		Cache:     opts.RewriteCache,
+		Programs:  opts.ProgramCache,
 		Scratch:   opts.Scratch,
 		Progress:  opts.Progress,
 		Verify:    opts.Verify,
