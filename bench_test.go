@@ -10,6 +10,7 @@ import (
 	"plim/internal/imply"
 	"plim/internal/isa"
 	"plim/internal/rewrite"
+	"plim/internal/sched"
 	"plim/internal/suite"
 	"plim/internal/tables"
 )
@@ -24,13 +25,22 @@ const benchShrink = 2
 // (ctrl), covering the structural extremes of Table I.
 var benchSubset = []string{"div", "i2c", "bar", "ctrl"}
 
+// suiteEnv is an uncached environment on a GOMAXPROCS-sized pool stopped
+// when the benchmark ends.
+func suiteEnv(b *testing.B) core.Env {
+	pool := sched.New(runtime.GOMAXPROCS(0))
+	b.Cleanup(pool.Stop)
+	return core.Env{Sched: pool}
+}
+
 // BenchmarkTable1 regenerates the paper's Table I (write distribution under
 // the five incremental endurance configurations).
 func BenchmarkTable1(b *testing.B) {
+	env := suiteEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), core.TableIConfigs(), tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env, core.TableIConfigs(), tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
-			Effort: core.DefaultEffort, Workers: runtime.GOMAXPROCS(0),
+			Effort: core.DefaultEffort,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -48,11 +58,12 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the paper's Table II (#I and #R for naive,
 // endurance-aware rewriting, and rewriting+compilation).
 func BenchmarkTable2(b *testing.B) {
+	env := suiteEnv(b)
 	cfgs := []core.Config{core.Naive, core.Rewriting, core.Full}
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), cfgs, tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env, cfgs, tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
-			Effort: core.DefaultEffort, Workers: runtime.GOMAXPROCS(0),
+			Effort: core.DefaultEffort,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -66,11 +77,12 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates the paper's Table III (the maximum-write-count
 // trade-off at caps 10/20/50/100).
 func BenchmarkTable3(b *testing.B) {
+	env := suiteEnv(b)
 	cfgs := []core.Config{core.FullCap(10), core.FullCap(20), core.FullCap(50), core.FullCap(100)}
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), cfgs, tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env, cfgs, tables.Options{
 			Benchmarks: benchSubset, Shrink: benchShrink,
-			Effort: core.DefaultEffort, Workers: runtime.GOMAXPROCS(0),
+			Effort: core.DefaultEffort,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -83,10 +95,11 @@ func BenchmarkTable3(b *testing.B) {
 
 // BenchmarkAblation runs the per-technique isolation table (extension).
 func BenchmarkAblation(b *testing.B) {
+	env := suiteEnv(b)
 	for i := 0; i < b.N; i++ {
-		sr, err := tables.RunSuite(context.Background(), tables.AblationConfigs(), tables.Options{
+		sr, err := tables.RunSuite(context.Background(), env, tables.AblationConfigs(), tables.Options{
 			Benchmarks: []string{"ctrl", "i2c"}, Shrink: benchShrink,
-			Effort: core.DefaultEffort, Workers: runtime.GOMAXPROCS(0),
+			Effort: core.DefaultEffort,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"plim/internal/compile"
 	"plim/internal/core"
@@ -428,6 +427,22 @@ func (e *Engine) scheduler() *sched.Pool {
 	return e.sched
 }
 
+// env is the pipeline environment of one engine call: the engine's
+// scheduler, memo tiers, scratch pool, verify and cost-model settings, and
+// the observers of ctx (see observer).
+func (e *Engine) env(ctx context.Context) core.Env {
+	return core.Env{
+		Sched:      e.scheduler(),
+		Benchmarks: e.benchCache,
+		Rewrites:   e.rwCache,
+		Programs:   e.programs,
+		Scratch:    e.scratch,
+		Progress:   e.observer(ctx),
+		Verify:     e.verify,
+		CostModel:  e.costModel,
+	}
+}
+
 // SchedStats is a snapshot of the engine scheduler's state: queued-task
 // depth, per-worker steal counts and task-latency histograms by kind.
 type SchedStats = sched.Stats
@@ -464,16 +479,7 @@ func (e *Engine) Run(ctx context.Context, m *MIG, cfg Config) (*Report, error) {
 	}
 	ctx, csp := e.traceCtx(ctx, "run")
 	defer csp.End()
-	reps, err := core.RunStaged(ctx, m, []Config{cfg}, core.StagedOptions{
-		Effort:    e.effort,
-		Sched:     e.scheduler(),
-		Cache:     e.rwCache,
-		Programs:  e.programs,
-		Scratch:   e.scratch,
-		Progress:  e.observer(ctx),
-		Verify:    e.verify,
-		CostModel: e.costModel,
-	})
+	reps, err := core.RunStaged(ctx, m, []Config{cfg}, e.env(ctx), e.effort)
 	if err != nil {
 		return nil, err
 	}
@@ -490,16 +496,7 @@ func (e *Engine) RunAll(ctx context.Context, m *MIG, cfgs []Config) ([]*Report, 
 	}
 	ctx, csp := e.traceCtx(ctx, "run-all")
 	defer csp.End()
-	return core.RunStaged(ctx, m, cfgs, core.StagedOptions{
-		Effort:    e.effort,
-		Sched:     e.scheduler(),
-		Cache:     e.rwCache,
-		Programs:  e.programs,
-		Scratch:   e.scratch,
-		Progress:  e.observer(ctx),
-		Verify:    e.verify,
-		CostModel: e.costModel,
-	})
+	return core.RunStaged(ctx, m, cfgs, e.env(ctx), e.effort)
 }
 
 // RunSuite evaluates every configuration on every named benchmark (all 18
@@ -517,30 +514,21 @@ func (e *Engine) RunSuite(ctx context.Context, cfgs []Config, benchmarks ...stri
 	}
 	ctx, csp := e.traceCtx(ctx, "suite")
 	defer csp.End()
-	return tables.RunSuite(ctx, cfgs, tables.Options{
-		Benchmarks:   benchmarks,
-		Effort:       e.effort,
-		Shrink:       e.shrink,
-		Workers:      e.workers,
-		Sched:        e.scheduler(),
-		Progress:     e.observer(ctx),
-		BenchCache:   e.benchCache,
-		RewriteCache: e.rwCache,
-		ProgramCache: e.programs,
-		Scratch:      e.scratch,
-		Verify:       e.verify,
-		CostModel:    e.costModel,
+	return tables.RunSuite(ctx, e.env(ctx), cfgs, tables.Options{
+		Benchmarks: benchmarks,
+		Effort:     e.effort,
+		Shrink:     e.shrink,
 	})
 }
 
 // Explore sweeps the design space (benchmark × shrink × effort × config ×
 // cost model) as one task graph on the engine's scheduler and caches, and
 // returns every point with its (benchmark, shrink, model)-local Pareto
-// front marked — see core.Explore. Only the sweep axes and Verify are
-// taken from opts: the plumbing fields (Workers, Sched, Progress, caches,
-// Scratch) are the engine's own. Empty axes default to the engine's
-// configuration — its effort, its shrink, its cost model — rather than the
-// package-level defaults, so a bare ExploreOptions{} sweeps exactly what
+// front marked — see core.Explore. opts carries the sweep axes and Verify;
+// the plumbing (scheduler, caches, scratch, progress) is the engine's own
+// (Engine.env). Empty axes default to the engine's configuration — its
+// effort, its shrink, its cost model — rather than the package-level
+// defaults, so a bare ExploreOptions{} sweeps exactly what
 // Run would compile. Verification is on when either opts.Verify or the
 // engine's WithVerify is set.
 func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
@@ -558,15 +546,7 @@ func (e *Engine) Explore(ctx context.Context, opts ExploreOptions) (*ExploreResu
 	if len(opts.Models) == 0 {
 		opts.Models = []*CostModel{e.costModel}
 	}
-	opts.Workers = e.workers
-	opts.Sched = e.scheduler()
-	opts.Progress = e.observer(ctx)
-	opts.BenchCache = e.benchCache
-	opts.RewriteCache = e.rwCache
-	opts.ProgramCache = e.programs
-	opts.Scratch = e.scratch
-	opts.Verify = opts.Verify || e.verify
-	return core.Explore(ctx, opts)
+	return core.Explore(ctx, e.env(ctx), opts)
 }
 
 // Rewrite applies one of the MIG rewriting algorithms with the engine's
@@ -731,11 +711,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *Program, b *Batch, opts Ex
 		}
 	}
 	if e.workers > 1 && b.Chunks() > 1 {
-		var deadline time.Time
-		if d, ok := ctx.Deadline(); ok {
-			deadline = d
-		}
-		return pl.RunSharded(ctx, b, opts, e.scheduler(), deadline, obs)
+		return pl.RunSharded(ctx, b, opts, e.scheduler(), obs)
 	}
 	return pl.RunContext(ctx, b, opts)
 }

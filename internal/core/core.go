@@ -31,6 +31,7 @@ import (
 	"plim/internal/rewrite"
 	"plim/internal/sched"
 	"plim/internal/stats"
+	"plim/internal/suite"
 	"plim/internal/verify"
 )
 
@@ -101,17 +102,17 @@ type Report struct {
 	Config  Config
 	Rewrite rewrite.Stats
 	// Result may be shared with other reports through a program tier
-	// (StagedOptions.Programs, the engine's cache): treat it as read-only.
+	// (Env.Programs, the engine's cache): treat it as read-only.
 	Result *compile.Result
 	// Writes summarizes the per-device write counts (paper's min/max/STDEV).
 	Writes stats.Summary
 	// Verify is the static verification report for the compiled program;
-	// nil unless the run was verified (StagedOptions.Verify /
+	// nil unless the run was verified (Env.Verify /
 	// plim.WithVerify). A non-nil report has no hard violations — those
 	// fail the compile — but may list dead-write warnings.
 	Verify *verify.Report
 	// Cost is the per-run price of the compiled program under the
-	// configured cost model (StagedOptions.CostModel / plim.WithCostModel);
+	// configured cost model (Env.CostModel / plim.WithCostModel);
 	// nil without one. When the run is verified, static and allocator cost
 	// parity has been proven before this report exists.
 	Cost *cost.Cost
@@ -438,30 +439,32 @@ func stageLabel(st Stage, cfgs []Config) string {
 	return st.Kind.String()
 }
 
-// StagedOptions configures RunStaged.
-type StagedOptions struct {
-	// Effort is the rewriting cycle budget (0 = no cycles).
-	Effort int
-	// Workers sizes a transient scheduler when Sched is nil: values ≤ 1
-	// run the plan on one worker, in deterministic depth-first order.
-	Workers int
-	// Sched, when non-nil, executes the plan's tasks on a shared
-	// process-wide scheduler instead of a transient one (plim.Engine
-	// threads its pool through here, so every call of one engine — and
-	// every server request — interleaves at task granularity).
+// Env is the pipeline environment every entry point (RunStaged, Explore,
+// tables.RunSuite) runs in: the scheduler, the memo tiers, the compile
+// scratch pool, the progress sink and the per-compile verify and pricing
+// switches. plim.Engine builds one per call from its own state. The zero
+// Env runs on one transient worker, uncached, silent, unverified and
+// unpriced.
+type Env struct {
+	// Sched executes the call's task graph; it is shared by every call of
+	// one engine (and every server request), which then interleave at task
+	// granularity. Nil runs the graph on one transient worker, in
+	// deterministic depth-first order.
 	Sched *sched.Pool
-	// Cache memoizes rewrite stages across calls; nil rewrites afresh.
-	Cache *RewriteTier
+	// Benchmarks memoizes benchmark builds per (name, shrink); nil builds
+	// afresh.
+	Benchmarks *suite.Tier
+	// Rewrites memoizes rewrite stages across calls; nil rewrites afresh.
+	Rewrites *RewriteTier
 	// Programs memoizes compiled programs across calls; nil compiles
 	// afresh.
 	Programs *ProgramTier
-	// Scratch, when non-nil, supplies reusable compile scratch state to the
-	// per-configuration compile jobs (plim.Engine threads its pool through
-	// here); nil uses the compile package's shared default pool.
+	// Scratch supplies reusable compile scratch state to every compile
+	// task; nil uses the compile package's shared default pool.
 	Scratch *compile.ScratchPool
-	// Progress receives rewrite-cycle, compile start/done and scheduler
-	// task start/done events. It may be invoked concurrently when the
-	// schedule runs on several workers.
+	// Progress receives rewrite-cycle, compile start/done, benchmark and
+	// scheduler task events. It may be invoked concurrently when the graph
+	// runs on several workers.
 	Progress progress.Func
 	// Verify statically verifies every compiled program (see
 	// CompileConfig); a hard violation fails that configuration's compile.
@@ -469,6 +472,21 @@ type StagedOptions struct {
 	// CostModel, when non-nil, prices every compilation (Report.Cost) and
 	// — with Verify set — proves static-vs-allocator cost parity.
 	CostModel *cost.Model
+}
+
+// RunGraph builds one task graph with build and runs it to completion on
+// env.Sched, or on a transient one-worker pool when Sched is nil. The
+// graph's injector priority is ctx's deadline. The error is the graph
+// context's: ctx.Err() itself on cancellation, nil otherwise.
+func (env Env) RunGraph(ctx context.Context, build func(*sched.Graph)) error {
+	pool := env.Sched
+	if pool == nil {
+		pool = sched.New(1)
+		defer pool.Stop()
+	}
+	g := pool.NewGraph(ctx, env.Progress)
+	build(g)
+	return g.Wait()
 }
 
 // StagedGraph adds the staged plan of cfgs to graph g: one rewrite task
@@ -483,7 +501,7 @@ type StagedOptions struct {
 // should depend on them) and finish composes the plan's error in stage
 // order; it must only be called after every leaf completed (e.g. from a
 // task depending on all of them, or after Graph.Wait).
-func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Config, opts StagedOptions, out []*Report) (leaves []*sched.Task, finish func() error) {
+func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Config, env Env, effort int, out []*Report) (leaves []*sched.Task, finish func() error) {
 	stages := Plan(cfgs)
 	rks := make([]RewriteKey, len(stages))
 	rms := make([]*mig.MIG, len(stages))
@@ -498,20 +516,20 @@ func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Co
 			if m == nil {
 				return // upstream failure; its error is reported there
 			}
-			rks[si] = RewriteKey{Kind: st.Kind, Effort: opts.Effort}
-			if opts.Cache != nil || opts.Programs != nil {
+			rks[si] = RewriteKey{Kind: st.Kind, Effort: effort}
+			if env.Rewrites != nil || env.Programs != nil {
 				// One fingerprint keys both the rewrite and the program
 				// probes (O(1) on the tiers' frozen graphs).
 				rks[si].FP = m.Fingerprint()
 			}
-			rms[si], rsts[si], rwErrs[si] = cachedRewrite(ctx, opts.Cache, rks[si], m, opts.Progress, label)
+			rms[si], rsts[si], rwErrs[si] = cachedRewrite(ctx, env.Rewrites, rks[si], m, env.Progress, label)
 		}, dep)
 		for _, ci := range st.Configs {
 			ct := g.Task(sched.KindCompile, cfgs[ci].Name, func(ctx context.Context) {
 				if rms[si] == nil {
 					return // stage rewrite failed or was skipped
 				}
-				out[ci], cmpErrs[ci] = compileConfig(ctx, opts.Programs, rks[si], rms[si], cfgs[ci], rsts[si], opts.Progress, opts.Scratch, opts.Verify, opts.CostModel)
+				out[ci], cmpErrs[ci] = compileConfig(ctx, env.Programs, rks[si], rms[si], cfgs[ci], rsts[si], env.Progress, env.Scratch, env.Verify, env.CostModel)
 			}, rw)
 			leaves = append(leaves, ct)
 		}
@@ -536,29 +554,21 @@ func StagedGraph(g *sched.Graph, dep *sched.Task, mFn func() *mig.MIG, cfgs []Co
 
 // RunStaged runs several configurations on the same function as a staged
 // plan: each distinct rewriting pipeline runs once (memoized through
-// opts.Cache when set) and the compile/alloc stages fan out over the
-// shared rewritten MIG as independent scheduler tasks — on opts.Sched when
-// set, otherwise on a transient opts.Workers-sized pool. Reports are
+// env.Rewrites when set) and the compile/alloc stages fan out over the
+// shared rewritten MIG as independent scheduler tasks on env's scheduler.
+// effort is the rewriting cycle budget (0 = no cycles). Reports are
 // returned in configuration order and are identical to those of sequential
 // per-configuration Run calls. On cancellation the error is ctx.Err()
 // itself; unstarted tasks of the plan never run.
-func RunStaged(ctx context.Context, m *mig.MIG, cfgs []Config, opts StagedOptions) ([]*Report, error) {
+func RunStaged(ctx context.Context, m *mig.MIG, cfgs []Config, env Env, effort int) ([]*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pool := opts.Sched
-	if pool == nil {
-		pool = sched.New(opts.Workers)
-		defer pool.Stop()
-	}
-	var deadline time.Time
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	g := pool.NewGraph(ctx, sched.GraphOptions{Deadline: deadline, Progress: opts.Progress})
 	out := make([]*Report, len(cfgs))
-	_, finish := StagedGraph(g, nil, func() *mig.MIG { return m }, cfgs, opts, out)
-	if err := g.Wait(); err != nil {
+	var finish func() error
+	if err := env.RunGraph(ctx, func(g *sched.Graph) {
+		_, finish = StagedGraph(g, nil, func() *mig.MIG { return m }, cfgs, env, effort, out)
+	}); err != nil {
 		// Cancellation surfaces as ctx.Err() itself (the documented
 		// contract), not wrapped inside errors.Join.
 		return nil, err
@@ -567,11 +577,4 @@ func RunStaged(ctx context.Context, m *mig.MIG, cfgs []Config, opts StagedOption
 		return nil, err
 	}
 	return out, nil
-}
-
-// RunAll runs several configurations on the same function as a staged plan
-// on a single transient worker, checking cancellation between stages and
-// configurations. Reports match sequential Run calls exactly.
-func RunAll(ctx context.Context, m *mig.MIG, cfgs []Config, effort int, obs progress.Func) ([]*Report, error) {
-	return RunStaged(ctx, m, cfgs, StagedOptions{Effort: effort, Progress: obs})
 }

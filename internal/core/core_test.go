@@ -15,6 +15,7 @@ import (
 	"plim/internal/diskcache"
 	"plim/internal/mig"
 	"plim/internal/progress"
+	"plim/internal/sched"
 )
 
 func randomMIG(name string, pis, nodes, pos int, seed int64) *mig.MIG {
@@ -93,7 +94,7 @@ func TestRunPreservesFunctionAcrossConfigs(t *testing.T) {
 
 func TestRunAllOrdersReports(t *testing.T) {
 	m := randomMIG("f", 6, 60, 4, 5)
-	reps, err := RunAll(context.Background(), m, TableIConfigs(), 2, nil)
+	reps, err := RunStaged(context.Background(), m, TableIConfigs(), Env{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +215,19 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 		}
 		want[i] = rep
 	}
-	for name, opts := range map[string]StagedOptions{
-		"inline":          {Effort: 2},
-		"workers":         {Effort: 2, Workers: 4},
-		"cached":          {Effort: 2, Cache: NewRewriteTier(0, nil)},
-		"cached+worker":   {Effort: 2, Workers: 4, Cache: NewRewriteTier(0, nil)},
-		"scratch":         {Effort: 2, Scratch: compile.NewScratchPool()},
-		"scratch+staged":  {Effort: 2, Workers: 4, Cache: NewRewriteTier(2, nil), Scratch: compile.NewScratchPool()},
-		"scratch+bounded": {Effort: 2, Cache: NewRewriteTier(1, nil), Scratch: compile.NewScratchPool()},
+	for name, env := range map[string]Env{
+		"inline":          {},
+		"workers":         {Sched: sched.New(4)},
+		"cached":          {Rewrites: NewRewriteTier(0, nil)},
+		"cached+worker":   {Sched: sched.New(4), Rewrites: NewRewriteTier(0, nil)},
+		"scratch":         {Scratch: compile.NewScratchPool()},
+		"scratch+staged":  {Sched: sched.New(4), Rewrites: NewRewriteTier(2, nil), Scratch: compile.NewScratchPool()},
+		"scratch+bounded": {Rewrites: NewRewriteTier(1, nil), Scratch: compile.NewScratchPool()},
 	} {
-		got, err := RunStaged(context.Background(), m, cfgs, opts)
+		got, err := RunStaged(context.Background(), m, cfgs, env, 2)
+		if env.Sched != nil {
+			env.Sched.Stop()
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -257,14 +261,13 @@ func TestRunStagedMatchesSequential(t *testing.T) {
 func TestRunStagedRewritesOncePerStage(t *testing.T) {
 	m := randomMIG("f", 8, 150, 8, 3)
 	starts := map[string]int{}
-	_, err := RunStaged(context.Background(), m, TableIConfigs(), StagedOptions{
-		Effort: 2,
+	_, err := RunStaged(context.Background(), m, TableIConfigs(), Env{
 		Progress: func(ev progress.Event) {
 			if c, ok := ev.(progress.RewriteCycle); ok && c.Cycle == 1 {
 				starts[c.Config]++
 			}
 		},
-	})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,8 +493,7 @@ func TestRewriteCachePanicDoesNotWedgeKey(t *testing.T) {
 func TestRunStagedCancellationIsCtxErr(t *testing.T) {
 	m := randomMIG("f", 8, 150, 8, 7)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunStaged(ctx, m, TableIConfigs(), StagedOptions{
-		Effort: 1,
+	_, err := RunStaged(ctx, m, TableIConfigs(), Env{
 		Progress: func(ev progress.Event) {
 			// Cancel once the first rewrite completes, so the compile
 			// fan-out observes a cancelled context.
@@ -499,7 +501,7 @@ func TestRunStagedCancellationIsCtxErr(t *testing.T) {
 				cancel()
 			}
 		},
-	})
+	}, 1)
 	cancel()
 	if err == nil {
 		t.Fatal("cancelled staged run returned nil error")

@@ -8,22 +8,20 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
-	"plim/internal/compile"
 	"plim/internal/cost"
 	"plim/internal/mig"
-	"plim/internal/progress"
 	"plim/internal/sched"
 	"plim/internal/stats"
 	"plim/internal/suite"
 )
 
-// ExploreOptions configures a design-space sweep (see Explore). The sweep
-// axes (Benchmarks × Shrinks × Efforts × Configs × Models) default to the
-// paper's evaluation: the full benchmark suite at paper scale, the
-// default rewriting effort, the five Table I configurations and the
-// built-in cost model.
+// ExploreOptions configures a design-space sweep (see Explore): its axes
+// and Verify; the plumbing comes from the Env. The sweep axes (Benchmarks
+// × Shrinks × Efforts × Configs × Models) default to the paper's
+// evaluation: the full benchmark suite at paper scale, the default
+// rewriting effort, the five Table I configurations and the built-in cost
+// model.
 type ExploreOptions struct {
 	// Benchmarks to sweep; nil or empty means the full suite.
 	Benchmarks []string
@@ -41,27 +39,9 @@ type ExploreOptions struct {
 	// {cost.Default()}. Model names must be distinct: they key the output
 	// rows and the Pareto grouping.
 	Models []*cost.Model
-	// Workers bounds parallelism when Sched is nil; must be ≥ 1.
-	Workers int
-	// Sched, when non-nil, runs the sweep's task graph on a shared
-	// process-wide scheduler instead of a transient Workers-sized pool.
-	Sched *sched.Pool
-	// Progress receives generate/rewrite/compile/task events; it may be
-	// invoked concurrently from worker goroutines.
-	Progress progress.Func
-	// BenchCache, when non-nil, memoizes benchmark builds per (name, shrink).
-	BenchCache *suite.Tier
-	// RewriteCache, when non-nil, memoizes rewrite stages across the sweep —
-	// the axis product makes this the difference between O(points) and
-	// O(distinct rewrites) graph work.
-	RewriteCache *RewriteTier
-	// ProgramCache, when non-nil, memoizes compiled programs across
-	// sweeps (keyed under Models[0], the model the sweep compiles with).
-	ProgramCache *ProgramTier
-	// Scratch, when non-nil, supplies reusable compile scratch state.
-	Scratch *compile.ScratchPool
 	// Verify statically verifies every compiled program, including
-	// static-vs-allocator write and cost parity under Models[0].
+	// static-vs-allocator write and cost parity under Models[0]; it adds
+	// to, never removes, the environment's Env.Verify.
 	Verify bool
 }
 
@@ -128,18 +108,16 @@ func (o *ExploreOptions) normalize() error {
 		}
 		names[m.Name] = true
 	}
-	if o.Sched == nil && o.Workers < 1 {
-		return fmt.Errorf("core: explore Workers must be ≥ 1, got %d", o.Workers)
-	}
 	return nil
 }
 
 // Explore sweeps the design space (benchmark × shrink × effort × config ×
-// cost model) as one task graph on the work-stealing scheduler: one
-// generate task per (benchmark, shrink), one rewrite task per distinct
-// (benchmark, shrink, effort, pipeline) — memoized through the rewrite
-// cache when set — and one compile task per (benchmark, shrink, effort,
-// config). Pricing under each model is pure arithmetic on the compiled
+// cost model) as one task graph on env's scheduler: one generate task per
+// (benchmark, shrink), one rewrite task per distinct (benchmark, shrink,
+// effort, pipeline) — memoized through env.Rewrites when set — and one
+// compile task per (benchmark, shrink, effort, config). Every compile is
+// priced under Models[0], which replaces env.CostModel (the program tier
+// keys under it). Pricing under each model is pure arithmetic on the compiled
 // program, so the model axis multiplies output rows, not graph work.
 //
 // The result is deterministic: points appear in input axis order and every
@@ -147,23 +125,15 @@ func (o *ExploreOptions) normalize() error {
 // sweeps — cold or through either cache tier — are byte-identical when
 // rendered. On cancellation the error is ctx.Err() and unstarted tasks
 // never run.
-func Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
+func Explore(ctx context.Context, env Env, opts ExploreOptions) (*ExploreResult, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pool := opts.Sched
-	if pool == nil {
-		pool = sched.New(opts.Workers)
-		defer pool.Stop()
-	}
-	var deadline time.Time
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	g := pool.NewGraph(ctx, sched.GraphOptions{Deadline: deadline, Progress: opts.Progress})
+	env.CostModel = opts.Models[0]
+	env.Verify = env.Verify || opts.Verify
 
 	nb, ns, ne := len(opts.Benchmarks), len(opts.Shrinks), len(opts.Efforts)
 	type cell struct {
@@ -173,38 +143,31 @@ func Explore(ctx context.Context, opts ExploreOptions) (*ExploreResult, error) {
 	cells := make([]cell, nb*ns*ne)
 	migs := make([]*mig.MIG, nb*ns)
 	genErrs := make([]error, nb*ns)
-	for bi, name := range opts.Benchmarks {
-		for si, shrink := range opts.Shrinks {
-			gi := bi*ns + si
-			name, shrink := name, shrink
-			label := name
-			if ns > 1 || shrink != 1 {
-				label = fmt.Sprintf("%s/s%d", name, shrink)
-			}
-			gen := g.Task(sched.KindGenerate, label, func(ctx context.Context) {
-				m, err := suite.BuildCached(ctx, opts.BenchCache, name, shrink)
-				if err != nil {
-					genErrs[gi] = fmt.Errorf("core: explore %s (shrink %d): %w", name, shrink, err)
-					return
+	err := env.RunGraph(ctx, func(g *sched.Graph) {
+		for bi, name := range opts.Benchmarks {
+			for si, shrink := range opts.Shrinks {
+				gi := bi*ns + si
+				label := name
+				if ns > 1 || shrink != 1 {
+					label = fmt.Sprintf("%s/s%d", name, shrink)
 				}
-				migs[gi] = m
-			}, nil)
-			for ei, effort := range opts.Efforts {
-				reports := make([]*Report, len(opts.Configs))
-				_, finish := StagedGraph(g, gen, func() *mig.MIG { return migs[gi] }, opts.Configs, StagedOptions{
-					Effort:    effort,
-					Cache:     opts.RewriteCache,
-					Programs:  opts.ProgramCache,
-					Scratch:   opts.Scratch,
-					Progress:  opts.Progress,
-					Verify:    opts.Verify,
-					CostModel: opts.Models[0],
-				}, reports)
-				cells[gi*ne+ei] = cell{reports: reports, finish: finish}
+				gen := g.Task(sched.KindGenerate, label, func(ctx context.Context) {
+					m, err := suite.BuildCached(ctx, env.Benchmarks, name, shrink)
+					if err != nil {
+						genErrs[gi] = fmt.Errorf("core: explore %s (shrink %d): %w", name, shrink, err)
+						return
+					}
+					migs[gi] = m
+				}, nil)
+				for ei, effort := range opts.Efforts {
+					reports := make([]*Report, len(opts.Configs))
+					_, finish := StagedGraph(g, gen, func() *mig.MIG { return migs[gi] }, opts.Configs, env, effort, reports)
+					cells[gi*ne+ei] = cell{reports: reports, finish: finish}
+				}
 			}
 		}
-	}
-	if err := g.Wait(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	var errs []error

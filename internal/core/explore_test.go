@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"plim/internal/cost"
+	"plim/internal/sched"
 	"plim/internal/suite"
 )
 
@@ -19,9 +20,16 @@ func quickExplore() ExploreOptions {
 		Efforts:    []int{0, 2},
 		Shrinks:    []int{4},
 		Models:     []*cost.Model{cost.Default(), fast},
-		Workers:    2,
 		Verify:     true,
 	}
+}
+
+// workersEnv is an uncached environment on an n-worker pool stopped when
+// the test ends.
+func workersEnv(t *testing.T, n int) Env {
+	pool := sched.New(n)
+	t.Cleanup(pool.Stop)
+	return Env{Sched: pool}
 }
 
 // TestExploreDeterministic pins the sweep's reproducibility contract: the
@@ -40,18 +48,17 @@ func TestExploreDeterministic(t *testing.T) {
 		return csv.String(), js.String()
 	}
 
-	cold, err := Explore(ctx, quickExplore())
+	cold, err := Explore(ctx, workersEnv(t, 2), quickExplore())
 	if err != nil {
 		t.Fatal(err)
 	}
 	csvCold, jsonCold := render(cold)
 
-	warm := quickExplore()
-	warm.Workers = 4
-	warm.BenchCache = suite.NewTier(0, nil)
-	warm.RewriteCache = NewRewriteTier(0, nil)
+	warm := workersEnv(t, 4)
+	warm.Benchmarks = suite.NewTier(0, nil)
+	warm.Rewrites = NewRewriteTier(0, nil)
 	for i := 0; i < 2; i++ {
-		r, err := Explore(ctx, warm)
+		r, err := Explore(ctx, warm, quickExplore())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +80,7 @@ func TestExploreDeterministic(t *testing.T) {
 // is excluded from the front, and WriteCSV(frontOnly) emits exactly the
 // front rows.
 func TestExplorePareto(t *testing.T) {
-	res, err := Explore(context.Background(), quickExplore())
+	res, err := Explore(context.Background(), workersEnv(t, 2), quickExplore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,27 +145,22 @@ func TestExploreValidation(t *testing.T) {
 
 	bad := base()
 	bad.Shrinks = []int{0}
-	if _, err := Explore(ctx, bad); err == nil {
+	if _, err := Explore(ctx, Env{}, bad); err == nil {
 		t.Fatal("shrink 0 accepted")
 	}
 	bad = base()
 	bad.Efforts = []int{-1}
-	if _, err := Explore(ctx, bad); err == nil {
+	if _, err := Explore(ctx, Env{}, bad); err == nil {
 		t.Fatal("negative effort accepted")
 	}
 	bad = base()
 	bad.Models = []*cost.Model{cost.Default(), cost.Default()}
-	if _, err := Explore(ctx, bad); err == nil {
+	if _, err := Explore(ctx, Env{}, bad); err == nil {
 		t.Fatal("duplicate model names accepted")
 	}
 	bad = base()
-	bad.Workers = 0
-	if _, err := Explore(ctx, bad); err == nil {
-		t.Fatal("zero workers without a scheduler accepted")
-	}
-	bad = base()
 	bad.Benchmarks = []string{"nope"}
-	if _, err := Explore(ctx, bad); err == nil {
+	if _, err := Explore(ctx, Env{}, bad); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

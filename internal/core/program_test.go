@@ -11,14 +11,17 @@ import (
 	"plim/internal/cost"
 	"plim/internal/mig"
 	"plim/internal/progress"
+	"plim/internal/sched"
 )
 
-// stagedCached is the options of an engine-style staged run over fresh
+// stagedEffort is the rewriting effort of the staged runs below.
+const stagedEffort = 2
+
+// stagedCached is the environment of an engine-style staged run over fresh
 // rewrite and program tiers.
-func stagedCached(cm *cost.Model, verify bool) StagedOptions {
-	return StagedOptions{
-		Effort:    2,
-		Cache:     NewRewriteTier(0, nil),
+func stagedCached(cm *cost.Model, verify bool) Env {
+	return Env{
+		Rewrites:  NewRewriteTier(0, nil),
 		Programs:  NewProgramTier(0),
 		Verify:    verify,
 		CostModel: cm,
@@ -38,9 +41,9 @@ func binaryOf(t *testing.T, r *Report) []byte {
 // returns the first run's program from the tier — one miss, then one hit —
 // with fresh reports and the compile events still emitted.
 func TestProgramTierServesWarmRun(t *testing.T) {
-	opts := stagedCached(cost.Default(), false)
+	env := stagedCached(cost.Default(), false)
 	var starts, dones int
-	opts.Progress = func(ev progress.Event) {
+	env.Progress = func(ev progress.Event) {
 		switch ev.(type) {
 		case progress.CompileStart:
 			starts++
@@ -48,15 +51,15 @@ func TestProgramTierServesWarmRun(t *testing.T) {
 			dones++
 		}
 	}
-	first, err := RunStaged(context.Background(), randomMIG("f", 8, 120, 6, 1), []Config{Full}, opts)
+	first, err := RunStaged(context.Background(), randomMIG("f", 8, 120, 6, 1), []Config{Full}, env, stagedEffort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunStaged(context.Background(), randomMIG("f", 8, 120, 6, 1), []Config{Full}, opts)
+	second, err := RunStaged(context.Background(), randomMIG("f", 8, 120, 6, 1), []Config{Full}, env, stagedEffort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := opts.Programs.Probes(); h != 1 || m != 1 {
+	if h, m := env.Programs.Probes(); h != 1 || m != 1 {
 		t.Fatalf("program tier probes = %d hits / %d misses, want 1 / 1", h, m)
 	}
 	if !bytes.Equal(binaryOf(t, first[0]), binaryOf(t, second[0])) {
@@ -82,22 +85,22 @@ func TestProgramTierServesWarmRun(t *testing.T) {
 // one policy under two cost models each get their own entry.
 func TestProgramTierKeysSeparateConfigsAndModels(t *testing.T) {
 	m := randomMIG("f", 8, 120, 6, 2)
-	opts := stagedCached(cost.Default(), false)
+	env := stagedCached(cost.Default(), false)
 	cfgs := []Config{Full, FullCap(50), MinWrite}
-	reps, err := RunStaged(context.Background(), m, cfgs, opts)
+	reps, err := RunStaged(context.Background(), m, cfgs, env, stagedEffort)
 	if err != nil {
 		t.Fatal(err)
 	}
 	alt := *cost.Default()
 	alt.Name = "alt"
 	alt.RM3.EnergyPJ *= 2
-	opts.CostModel = &alt
-	altReps, err := RunStaged(context.Background(), m, cfgs[:1], opts)
+	env.CostModel = &alt
+	altReps, err := RunStaged(context.Background(), m, cfgs[:1], env, stagedEffort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, ms := opts.Programs.Probes(); h != 0 || ms != 4 || opts.Programs.Len() != 4 {
-		t.Fatalf("program tier: %d hits / %d misses / %d entries, want 0 / 4 / 4", h, ms, opts.Programs.Len())
+	if h, ms := env.Programs.Probes(); h != 0 || ms != 4 || env.Programs.Len() != 4 {
+		t.Fatalf("program tier: %d hits / %d misses / %d entries, want 0 / 4 / 4", h, ms, env.Programs.Len())
 	}
 	results := []*compile.Result{reps[0].Result, reps[1].Result, reps[2].Result, altReps[0].Result}
 	for i := range results {
@@ -112,8 +115,8 @@ func TestProgramTierKeysSeparateConfigsAndModels(t *testing.T) {
 	}
 	// An equal model under another pointer shares the entry.
 	same := *cost.Default()
-	opts.CostModel = &same
-	again, err := RunStaged(context.Background(), m, cfgs[:1], opts)
+	env.CostModel = &same
+	again, err := RunStaged(context.Background(), m, cfgs[:1], env, stagedEffort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +130,16 @@ func TestProgramTierKeysSeparateConfigsAndModels(t *testing.T) {
 // verification fails every verified call it is served to.
 func TestProgramTierVerifiesHits(t *testing.T) {
 	m := randomMIG("f", 8, 120, 6, 3)
-	opts := stagedCached(cost.Default(), false)
-	if _, err := RunStaged(context.Background(), m, []Config{Full}, opts); err != nil {
+	env := stagedCached(cost.Default(), false)
+	if _, err := RunStaged(context.Background(), m, []Config{Full}, env, stagedEffort); err != nil {
 		t.Fatal(err)
 	}
-	opts.Verify = true
-	reps, err := RunStaged(context.Background(), m, []Config{Full}, opts)
+	env.Verify = true
+	reps, err := RunStaged(context.Background(), m, []Config{Full}, env, stagedEffort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := opts.Programs.Probes(); h != 1 {
+	if h, _ := env.Programs.Probes(); h != 1 {
 		t.Fatalf("verified run was not served from the tier (%d hits)", h)
 	}
 	if reps[0].Verify == nil || !reps[0].Verify.OK() {
@@ -150,19 +153,19 @@ func TestProgramTierVerifiesHits(t *testing.T) {
 	bad.WriteCounts = slices.Clone(good.WriteCounts)
 	bad.WriteCounts[0]++
 	key := ProgramKey{
-		Rewrite:   RewriteKey{m.Fingerprint(), Rewriting.Rewrite, opts.Effort},
+		Rewrite:   RewriteKey{m.Fingerprint(), Rewriting.Rewrite, stagedEffort},
 		Selection: Rewriting.Selection, Alloc: Rewriting.Alloc,
-		Model: *opts.CostModel, Priced: true,
+		Model: *env.CostModel, Priced: true,
 	}
-	if _, err := opts.Programs.Get(context.Background(), key, func() (*compile.Result, error) { return &bad, nil }); err != nil {
+	if _, err := env.Programs.Get(context.Background(), key, func() (*compile.Result, error) { return &bad, nil }); err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunStaged(context.Background(), m, []Config{Rewriting}, opts)
+	_, err = RunStaged(context.Background(), m, []Config{Rewriting}, env, stagedEffort)
 	if err == nil || !strings.Contains(err.Error(), "verify:") {
 		t.Fatalf("verified hit on a corrupted program: err = %v, want a verify violation", err)
 	}
-	opts.Verify = false
-	if _, err := RunStaged(context.Background(), m, []Config{Rewriting}, opts); err != nil {
+	env.Verify = false
+	if _, err := RunStaged(context.Background(), m, []Config{Rewriting}, env, stagedEffort); err != nil {
 		t.Fatalf("unverified hit failed: %v", err)
 	}
 }
@@ -171,13 +174,14 @@ func TestProgramTierVerifiesHits(t *testing.T) {
 // compile each configuration once.
 func TestProgramTierSingleflight(t *testing.T) {
 	const n = 8
-	opts := stagedCached(cost.Default(), true)
-	opts.Workers = 4
+	env := stagedCached(cost.Default(), true)
+	env.Sched = sched.New(4)
+	defer env.Sched.Stop()
 	cfgs := TableIConfigs()
 	errs := make(chan error, n)
 	for range n {
 		go func() {
-			_, err := RunStaged(context.Background(), randomMIG("f", 8, 120, 6, 4), cfgs, opts)
+			_, err := RunStaged(context.Background(), randomMIG("f", 8, 120, 6, 4), cfgs, env, stagedEffort)
 			errs <- err
 		}()
 	}
@@ -186,7 +190,7 @@ func TestProgramTierSingleflight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h, m := opts.Programs.Probes(); m != uint64(len(cfgs)) || h != uint64((n-1)*len(cfgs)) {
+	if h, m := env.Programs.Probes(); m != uint64(len(cfgs)) || h != uint64((n-1)*len(cfgs)) {
 		t.Fatalf("program tier probes = %d hits / %d misses, want %d / %d", h, m, (n-1)*len(cfgs), len(cfgs))
 	}
 }
@@ -202,10 +206,10 @@ func TestProgramTierBudgetEvicts(t *testing.T) {
 		}
 		return rep.Result.MemSize()
 	}
-	opts := stagedCached(nil, false)
-	opts.Programs = NewProgramTier(max(size(m1), size(m2)))
+	env := stagedCached(nil, false)
+	env.Programs = NewProgramTier(max(size(m1), size(m2)))
 	run := func(m *mig.MIG) *compile.Result {
-		reps, err := RunStaged(context.Background(), m, []Config{Full}, opts)
+		reps, err := RunStaged(context.Background(), m, []Config{Full}, env, stagedEffort)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,13 +217,13 @@ func TestProgramTierBudgetEvicts(t *testing.T) {
 	}
 	r1 := run(m1)
 	run(m2)
-	if opts.Programs.Len() != 1 {
-		t.Fatalf("program tier holds %d entries, want 1", opts.Programs.Len())
+	if env.Programs.Len() != 1 {
+		t.Fatalf("program tier holds %d entries, want 1", env.Programs.Len())
 	}
 	if again := run(m1); again == r1 {
 		t.Fatal("evicted program still served")
 	}
-	if h, ms := opts.Programs.Probes(); h != 0 || ms != 3 {
+	if h, ms := env.Programs.Probes(); h != 0 || ms != 3 {
 		t.Fatalf("program tier probes = %d hits / %d misses, want 0 / 3", h, ms)
 	}
 }

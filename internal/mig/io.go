@@ -80,18 +80,22 @@ func (m *MIG) Write(w io.Writer) error {
 // Read parses a .mig file produced by Write. Majority nodes are inserted
 // through RawMaj, which re-canonicalizes on load — children are sorted and
 // structurally hashed — but never applies the trivial folding rules, so the
-// file's exact node structure is preserved. For a graph in canonical
-// numbering (PIs before majority nodes, as produced by Cleanup, the rewrite
-// passes and the benchmark generators), Read(Write(m)) reproduces m
+// file's exact node structure is preserved. Signals resolve through the
+// file's own node numbering, so a duplicate .maj line (which structural
+// hashing merges into the first) still occupies its file number and
+// aliases the first node. For a graph in canonical numbering (PIs before
+// majority nodes, as produced by Cleanup, the rewrite passes and the
+// benchmark generators), Read(Write(m)) reproduces m
 // fingerprint-identically; interleaved graphs are renumbered by Write and
 // stabilize after one round trip.
 func Read(r io.Reader) (*MIG, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
 	m := New("")
-	// File node numbering: 0 = const, then PIs, then majority nodes in
-	// order of appearance. Because our in-memory numbering is identical,
-	// signals can be parsed directly, but we validate ordering.
+	// nodes maps file node numbers (0 = const, then PIs, then majority
+	// nodes in order of appearance) to in-memory nodes; they differ once
+	// strash merges a duplicate .maj line.
+	nodes := []NodeID{0}
 	lineNo := 0
 	seenEnd := false
 	for sc.Scan() {
@@ -114,25 +118,25 @@ func Read(r io.Reader) (*MIG, error) {
 			if m.NumMaj() > 0 {
 				return nil, fmt.Errorf("mig: line %d: .pi after .maj", lineNo)
 			}
-			m.AddPI(name)
+			nodes = append(nodes, m.AddPI(name).Node())
 		case ".maj":
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("mig: line %d: .maj needs 3 operands", lineNo)
 			}
 			var sig [3]Signal
 			for i := 0; i < 3; i++ {
-				s, err := parseSignal(fields[i+1], m.NumNodes())
+				s, err := parseSignal(fields[i+1], nodes)
 				if err != nil {
 					return nil, fmt.Errorf("mig: line %d: %v", lineNo, err)
 				}
 				sig[i] = s
 			}
-			m.RawMaj(sig[0], sig[1], sig[2])
+			nodes = append(nodes, m.RawMaj(sig[0], sig[1], sig[2]).Node())
 		case ".po":
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("mig: line %d: .po needs a signal", lineNo)
 			}
-			s, err := parseSignal(fields[1], m.NumNodes())
+			s, err := parseSignal(fields[1], nodes)
 			if err != nil {
 				return nil, fmt.Errorf("mig: line %d: %v", lineNo, err)
 			}
@@ -156,7 +160,9 @@ func Read(r io.Reader) (*MIG, error) {
 	return m, nil
 }
 
-func parseSignal(tok string, numNodes int) (Signal, error) {
+// parseSignal parses a file signal token, resolving its file node number
+// through nodes.
+func parseSignal(tok string, nodes []NodeID) (Signal, error) {
 	comp := false
 	if strings.HasPrefix(tok, "!") {
 		comp = true
@@ -166,10 +172,10 @@ func parseSignal(tok string, numNodes int) (Signal, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad signal %q: %v", tok, err)
 	}
-	if int(id) >= numNodes {
+	if id >= uint64(len(nodes)) {
 		return 0, fmt.Errorf("signal %q references node %d before its definition", tok, id)
 	}
-	return MakeSignal(NodeID(id), comp), nil
+	return MakeSignal(nodes[id], comp), nil
 }
 
 // WriteDOT emits a Graphviz rendering of the MIG: majority nodes as circles,

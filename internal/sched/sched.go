@@ -16,8 +16,8 @@
 // which is what keeps single-worker progress-event streams stable across
 // runs (and is pinned by engine tests).
 //
-// Priority: every graph carries an optional deadline (servers map a
-// request's timeout to it). The injector is a min-heap on (effective
+// Priority: every graph carries its context's deadline, if any (servers
+// map a request's timeout to it). The injector is a min-heap on (effective
 // deadline, submission order), and a worker prefers the injector's head
 // over its own deque when the head's graph deadline is strictly earlier
 // than that of its local work — so near-deadline flights are picked up
@@ -134,19 +134,6 @@ type Graph struct {
 	doneCh  chan struct{}
 }
 
-// GraphOptions configures a graph.
-type GraphOptions struct {
-	// Deadline orders this graph's tasks in the injector: earlier deadlines
-	// are picked up first. The zero time means "no deadline" (lowest
-	// priority, FIFO among themselves). The deadline does NOT cancel the
-	// graph — pass a deadline context for that.
-	Deadline time.Time
-	// Progress, when non-nil, receives a TaskStart/TaskDone event pair
-	// around every executed task (skipped tasks emit nothing). It may be
-	// invoked concurrently from workers.
-	Progress progress.Func
-}
-
 // worker is one scheduler worker's state.
 type worker struct {
 	id     int     // index into Pool.workers, recorded on task trace spans
@@ -219,19 +206,24 @@ func (p *Pool) Stop() {
 
 // NewGraph starts an empty task graph on the pool. The context governs
 // cancellation of every task in the graph; Wait returns its error once the
-// graph has drained.
-func (p *Pool) NewGraph(ctx context.Context, opts GraphOptions) *Graph {
+// graph has drained. ctx's deadline, when it has one, orders the graph's
+// tasks in the injector: earlier deadlines are picked up first, and
+// deadline-free graphs come last (FIFO among themselves). obs, when
+// non-nil, receives a TaskStart/TaskDone event pair around every executed
+// task (skipped tasks emit nothing); it may be invoked concurrently from
+// workers.
+func (p *Pool) NewGraph(ctx context.Context, obs progress.Func) *Graph {
 	p.start()
 	g := &Graph{
 		p:        p,
 		ctx:      ctx,
 		deadline: noDeadline,
-		obs:      opts.Progress,
+		obs:      obs,
 		pending:  1, // builder hold, released by Wait
 		doneCh:   make(chan struct{}),
 	}
-	if !opts.Deadline.IsZero() {
-		g.deadline = opts.Deadline.UnixNano()
+	if d, ok := ctx.Deadline(); ok {
+		g.deadline = d.UnixNano()
 	}
 	return g
 }

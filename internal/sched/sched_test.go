@@ -11,13 +11,43 @@ import (
 	"plim/internal/progress"
 )
 
+// deadlineCtx returns a context whose deadline lies d from now, cancelled
+// when the test ends.
+func deadlineCtx(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// TestGraphDeadlineFromContext pins where a graph's injector key comes
+// from: its context's deadline, and noDeadline for a context without one.
+func TestGraphDeadlineFromContext(t *testing.T) {
+	p := New(1)
+	defer p.Stop()
+	ctx := deadlineCtx(t, time.Hour)
+	want, _ := ctx.Deadline()
+	timed := p.NewGraph(ctx, nil)
+	if timed.deadline != want.UnixNano() {
+		t.Fatalf("graph deadline = %d, want the context's %d", timed.deadline, want.UnixNano())
+	}
+	free := p.NewGraph(context.Background(), nil)
+	if free.deadline != noDeadline {
+		t.Fatalf("deadline-free graph deadline = %d, want noDeadline", free.deadline)
+	}
+	for _, g := range []*Graph{timed, free} {
+		if err := g.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSingleWorkerDepthFirstOrder pins the determinism contract: one worker
 // executes a graph in depth-first creation order, because newly-ready
 // dependents are pushed in reverse creation order onto a LIFO deque.
 func TestSingleWorkerDepthFirstOrder(t *testing.T) {
 	p := New(1)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background(), nil)
 	var order []string
 	rec := func(name string) func(context.Context) {
 		return func(context.Context) { order = append(order, name) }
@@ -50,7 +80,7 @@ func TestSingleWorkerGraphFIFO(t *testing.T) {
 	var order []string
 	graphs := make([]*Graph, 3)
 	for i := range graphs {
-		g := p.NewGraph(context.Background(), GraphOptions{})
+		g := p.NewGraph(context.Background(), nil)
 		name := fmt.Sprintf("g%d", i)
 		root := g.Task(KindGenerate, name, func(context.Context) {
 			mu.Lock()
@@ -82,7 +112,7 @@ func TestSingleWorkerGraphFIFO(t *testing.T) {
 func TestDeadlinePriority(t *testing.T) {
 	p := New(2)
 	defer p.Stop()
-	long := p.NewGraph(context.Background(), GraphOptions{})
+	long := p.NewGraph(context.Background(), nil)
 	var longDone atomic.Int64
 	for i := 0; i < 40; i++ {
 		long.Task(KindCompile, "slow", func(context.Context) {
@@ -92,7 +122,7 @@ func TestDeadlinePriority(t *testing.T) {
 	}
 	// Give the flood a head start so workers are mid-flight.
 	time.Sleep(5 * time.Millisecond)
-	urgent := p.NewGraph(context.Background(), GraphOptions{Deadline: time.Now().Add(50 * time.Millisecond)})
+	urgent := p.NewGraph(deadlineCtx(t, time.Minute), nil)
 	var doneAfter int64
 	urgent.Task(KindCompile, "urgent", func(context.Context) {
 		doneAfter = longDone.Load()
@@ -115,7 +145,7 @@ func TestCancellationSkipsUnstartedDependents(t *testing.T) {
 	p := New(2)
 	defer p.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
-	g := p.NewGraph(ctx, GraphOptions{})
+	g := p.NewGraph(ctx, nil)
 	started := make(chan struct{})
 	var ran atomic.Bool
 	root := g.Task(KindRewrite, "root", func(c context.Context) {
@@ -141,7 +171,7 @@ func TestPreCancelledGraphDrains(t *testing.T) {
 	defer p.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := p.NewGraph(ctx, GraphOptions{})
+	g := p.NewGraph(ctx, nil)
 	var ran atomic.Bool
 	r := g.Task(KindGenerate, "r", func(context.Context) { ran.Store(true) })
 	g.Task(KindJoin, "j", func(context.Context) { ran.Store(true) }, r)
@@ -158,7 +188,7 @@ func TestPreCancelledGraphDrains(t *testing.T) {
 func TestStealsOccur(t *testing.T) {
 	p := New(4)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background(), nil)
 	// root blocks until the whole fan-out is attached: a root that finished
 	// first would leave later tasks dependency-free, injected globally and
 	// never stolen. The fan-out then becomes ready at once on the root's
@@ -208,7 +238,7 @@ func TestStealsOccur(t *testing.T) {
 func TestStats(t *testing.T) {
 	p := New(2)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background(), nil)
 	root := g.Task(KindGenerate, "g", func(context.Context) {})
 	for i := 0; i < 5; i++ {
 		g.Task(KindCompile, "c", func(context.Context) {}, root)
@@ -258,7 +288,7 @@ func TestTaskEvents(t *testing.T) {
 			evs = append(evs, "done:"+e.Kind+":"+e.Label)
 		}
 	}
-	g := p.NewGraph(context.Background(), GraphOptions{Progress: obs})
+	g := p.NewGraph(context.Background(), obs)
 	r := g.Task(KindRewrite, "alg1", func(context.Context) {})
 	g.Task(KindCompile, "full", func(context.Context) {}, r)
 	if err := g.Wait(); err != nil {
@@ -275,7 +305,7 @@ func TestTaskEvents(t *testing.T) {
 func TestDependencyOnCompletedTask(t *testing.T) {
 	p := New(2)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background(), nil)
 	done := make(chan struct{})
 	root := g.Task(KindGenerate, "root", func(context.Context) { close(done) })
 	<-done
@@ -305,11 +335,11 @@ func TestStealStorm(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				var opts GraphOptions
+				ctx := context.Background()
 				if id%3 == 0 {
-					opts.Deadline = time.Now().Add(time.Duration(50+id) * time.Millisecond)
+					ctx = deadlineCtx(t, time.Duration(50+id)*time.Second)
 				}
-				g := p.NewGraph(context.Background(), opts)
+				g := p.NewGraph(ctx, nil)
 				count := func(context.Context) { total.Add(1) }
 				root := g.Task(KindGenerate, "root", count)
 				width := 1 + (id+r)%5
@@ -348,9 +378,9 @@ func TestInjectorAging(t *testing.T) {
 	p := New(1)
 	defer p.Stop()
 	now := time.Now().UnixNano()
-	free := p.NewGraph(context.Background(), GraphOptions{})
-	far := p.NewGraph(context.Background(), GraphOptions{Deadline: time.Now().Add(AgingHorizon + time.Hour)})
-	near := p.NewGraph(context.Background(), GraphOptions{Deadline: time.Now().Add(time.Millisecond)})
+	free := p.NewGraph(context.Background(), nil)
+	far := p.NewGraph(deadlineCtx(t, AgingHorizon+time.Hour), nil)
+	near := p.NewGraph(deadlineCtx(t, time.Millisecond), nil)
 
 	// One deadline-free task enqueued AgingHorizon+1min ago, then a
 	// far-deadline and a near-deadline task enqueued now — submission order
@@ -387,8 +417,8 @@ func TestInjectorAging(t *testing.T) {
 func TestInjectLockedSetsAgedKey(t *testing.T) {
 	p := New(1)
 	defer p.Stop()
-	free := p.NewGraph(context.Background(), GraphOptions{})
-	near := p.NewGraph(context.Background(), GraphOptions{Deadline: time.Now().Add(time.Second)})
+	free := p.NewGraph(context.Background(), nil)
+	near := p.NewGraph(deadlineCtx(t, time.Second), nil)
 
 	freeTask := &Task{g: free, kind: KindJoin}
 	nearTask := &Task{g: near, kind: KindJoin}
@@ -414,7 +444,7 @@ func TestInjectLockedSetsAgedKey(t *testing.T) {
 func TestStatsMaxInjectorWait(t *testing.T) {
 	p := New(1)
 	defer p.Stop()
-	g := p.NewGraph(context.Background(), GraphOptions{})
+	g := p.NewGraph(context.Background(), nil)
 	block := make(chan struct{})
 	g.Task(KindGenerate, "blocker", func(context.Context) { <-block })
 	// While the worker is blocked, queued tasks accumulate injector wait

@@ -165,15 +165,7 @@ func (m *metrics) render(s *Server) string {
 	sort.Strings(routes)
 	for _, route := range routes {
 		h := m.latency[route]
-		var cum uint64
-		for i, ub := range latencyBuckets {
-			cum += h.buckets[i]
-			fmt.Fprintf(&b, "plimserve_request_seconds_bucket{route=%q,le=%q} %d\n", route, trimFloat(ub), cum)
-		}
-		cum += h.buckets[len(latencyBuckets)]
-		fmt.Fprintf(&b, "plimserve_request_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, cum)
-		fmt.Fprintf(&b, "plimserve_request_seconds_sum{route=%q} %g\n", route, h.sum)
-		fmt.Fprintf(&b, "plimserve_request_seconds_count{route=%q} %d\n", route, h.count)
+		writeHistogram(&b, "plimserve_request_seconds", fmt.Sprintf("route=%q", route), latencyBuckets[:], h.buckets[:], h.sum, h.count)
 	}
 
 	evRows := make(map[string]string, len(m.events))
@@ -225,15 +217,7 @@ func (m *metrics) render(s *Server) string {
 		if !ok {
 			continue // a kind never executed renders no empty series
 		}
-		var cum uint64
-		for i, ub := range bounds {
-			cum += h.Buckets[i]
-			fmt.Fprintf(&b, "plimserve_sched_task_seconds_bucket{kind=%q,le=%q} %d\n", k.String(), trimFloat(ub), cum)
-		}
-		cum += h.Buckets[len(bounds)]
-		fmt.Fprintf(&b, "plimserve_sched_task_seconds_bucket{kind=%q,le=\"+Inf\"} %d\n", k.String(), cum)
-		fmt.Fprintf(&b, "plimserve_sched_task_seconds_sum{kind=%q} %g\n", k.String(), h.SumSeconds)
-		fmt.Fprintf(&b, "plimserve_sched_task_seconds_count{kind=%q} %d\n", k.String(), h.Count)
+		writeHistogram(&b, "plimserve_sched_task_seconds", fmt.Sprintf("kind=%q", k.String()), bounds, h.Buckets, h.SumSeconds, h.Count)
 	}
 	rw, bench := s.eng.MemoryCacheLens()
 	ph, pm, progs := s.eng.ProgramCacheStats()
@@ -281,6 +265,22 @@ func (m *metrics) render(s *Server) string {
 		fmt.Fprintf(&b, "plimserve_cache_disk_store_errors_total %d\n", st.StoreErrors)
 	}
 	return b.String()
+}
+
+// writeHistogram renders one series of a histogram family: cumulative
+// _bucket lines over bounds plus +Inf, then _sum and _count, all labelled
+// with label (a rendered name="value" pair). buckets holds the
+// non-cumulative counts, one per bound plus the overflow.
+func writeHistogram(b *strings.Builder, name, label string, bounds []float64, buckets []uint64, sum float64, count uint64) {
+	var cum uint64
+	for i, ub := range bounds {
+		cum += buckets[i]
+		fmt.Fprintf(b, "%s_bucket{%s,le=%q} %d\n", name, label, trimFloat(ub), cum)
+	}
+	cum += buckets[len(bounds)]
+	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, label, cum)
+	fmt.Fprintf(b, "%s_sum{%s} %g\n", name, label, sum)
+	fmt.Fprintf(b, "%s_count{%s} %d\n", name, label, count)
 }
 
 // trimFloat renders a bucket bound the way Prometheus clients expect

@@ -219,11 +219,24 @@ type badRequest struct{ msg string }
 
 func (e badRequest) Error() string { return e.msg }
 
+// decodeStrict decodes exactly one JSON value from r into v: unknown
+// fields and anything but whitespace after the value are errors. An empty
+// input returns io.EOF.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (computeRequest, error) {
 	var req computeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req); err != nil {
 		if errors.Is(err, io.EOF) {
 			return req, nil // empty body: all defaults
 		}
@@ -513,9 +526,7 @@ func (s *Server) handleExecuteStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req computeRequest
-	dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(bytes.NewReader(sc.Bytes()), &req); err != nil {
 		fail(fmt.Sprintf("invalid request line: %s", err))
 		return
 	}

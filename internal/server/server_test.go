@@ -593,6 +593,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestTrailingData: a request body (or NDJSON request line) is one
+// JSON value; garbage or a second object after it is a 400, never a
+// silently dropped tail. Trailing whitespace stays legal.
+func TestRequestTrailingData(t *testing.T) {
+	_, ts, _ := newTestServer(t, Options{})
+	m, _ := referenceProgram(t, "ctrl", "full")
+	vectors := plim.RandomBatch(m.NumPIs(), 2, 1).Strings()
+	const req = `{"benchmark":"ctrl","config":"full"}`
+	for _, body := range []string{req + ` garbage`, req + ` {"config":"naive"}`} {
+		resp, b := postJSON(t, ts.URL+"/v1/compile", body, nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("compile %q: want 400, got %d: %s", body, resp.StatusCode, b)
+		}
+		resp, b = postNDJSON(t, ts.URL+"/v1/execute", body, vectors)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("ndjson request line %q: want 400, got %d: %s", body, resp.StatusCode, b)
+		}
+	}
+	if resp, b := postJSON(t, ts.URL+"/v1/compile", req+" \n\t\n", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: want 200, got %d: %s", resp.StatusCode, b)
+	}
+	if resp, b := postNDJSON(t, ts.URL+"/v1/execute", req+" \t", vectors); resp.StatusCode != http.StatusOK {
+		t.Errorf("ndjson trailing whitespace: want 200, got %d: %s", resp.StatusCode, b)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{})
 	if resp, b := postJSON(t, ts.URL+"/v1/compile", `{"benchmark":"ctrl"}`, nil); resp.StatusCode != 200 {

@@ -18,7 +18,7 @@ type TableCostCell struct {
 // TableCostData is the cost-model projection of a suite result (not in the
 // paper): per-configuration energy, latency and lifetime under one
 // instruction cost model. It only exists for suite runs priced with a cost
-// model (Options.CostModel / plim.WithCostModel).
+// model (core.Env.CostModel / plim.WithCostModel).
 type TableCostData struct {
 	Model       string
 	ConfigNames []string
@@ -44,7 +44,7 @@ func TableCost(sr *SuiteResult) (*TableCostData, error) {
 		row := make([]TableCostCell, len(sr.Configs))
 		for c, rep := range sr.Reports[b] {
 			if rep.Cost == nil {
-				return nil, fmt.Errorf("tables: cost table needs a priced run (%s/%s has no cost — set Options.CostModel)",
+				return nil, fmt.Errorf("tables: cost table needs a priced run (%s/%s has no cost — set core.Env.CostModel)",
 					info.Name, sr.Configs[c].Name)
 			}
 			if d.Model == "" {

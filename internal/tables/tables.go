@@ -18,7 +18,6 @@ import (
 	"plim/internal/alloc"
 	"plim/internal/compile"
 	"plim/internal/core"
-	"plim/internal/cost"
 	"plim/internal/mig"
 	"plim/internal/progress"
 	"plim/internal/sched"
@@ -33,8 +32,10 @@ type SuiteResult struct {
 	Reports [][]*core.Report
 }
 
-// Options configures a suite run. All fields are explicit: Effort 0 really
-// runs zero rewriting cycles and Workers/Shrink must be ≥ 1.
+// Options configures a suite run: which benchmarks, at what rewriting
+// effort and scale; the plumbing comes from the core.Env. All fields are
+// explicit: Effort 0 really runs zero rewriting cycles and Shrink must be
+// ≥ 1.
 type Options struct {
 	// Benchmarks to run; nil or empty means the full 18-benchmark suite.
 	Benchmarks []string
@@ -42,37 +43,6 @@ type Options struct {
 	Effort int
 	// Shrink divides datapath widths for quick runs (1 = paper scale).
 	Shrink int
-	// Workers bounds parallelism across the whole run: benchmark jobs and
-	// the compile jobs they fan out share one worker budget.
-	Workers int
-	// Progress receives typed suite events. It may be invoked concurrently
-	// from worker goroutines; callers that need serialized delivery must
-	// wrap it (plim.Engine does).
-	Progress progress.Func
-	// BenchCache, when non-nil, reuses benchmark generator output across
-	// runs (shared read-only instances). plim.Engine threads its cache
-	// through here.
-	BenchCache *suite.Tier
-	// RewriteCache, when non-nil, memoizes rewrite stages across
-	// configurations, benchmarks and runs.
-	RewriteCache *core.RewriteTier
-	// ProgramCache, when non-nil, memoizes compiled programs across
-	// benchmarks and runs.
-	ProgramCache *core.ProgramTier
-	// Scratch, when non-nil, supplies reusable compile scratch state to
-	// every compile job of the run; nil uses the compile package's shared
-	// default pool.
-	Scratch *compile.ScratchPool
-	// Sched, when non-nil, executes the suite's task graph on a shared
-	// process-wide scheduler (plim.Engine threads its pool through here);
-	// nil runs on a transient Workers-sized pool.
-	Sched *sched.Pool
-	// Verify statically verifies every compiled program of the run (see
-	// core.CompileConfig); a hard violation fails that configuration.
-	Verify bool
-	// CostModel, when non-nil, prices every compilation of the run
-	// (core.Report.Cost) — the input of the cost table (TableCost).
-	CostModel *cost.Model
 }
 
 func (o *Options) validate() error {
@@ -82,30 +52,27 @@ func (o *Options) validate() error {
 	if o.Shrink < 1 {
 		return fmt.Errorf("tables: Shrink must be ≥ 1, got %d", o.Shrink)
 	}
-	if o.Workers < 1 {
-		return fmt.Errorf("tables: Workers must be ≥ 1, got %d", o.Workers)
-	}
 	return nil
 }
 
 // RunSuite evaluates every configuration on every requested benchmark as
-// one task graph on the work-stealing scheduler. Each benchmark
-// contributes a generate task (build the MIG through the benchmark cache,
-// when set), one rewrite task per distinct pipeline of the configuration
-// plan (memoized through the rewrite cache, when set), one compile task
-// per configuration depending on its stage's rewrite, and a join task
-// depending on all of them that aggregates errors and emits the
-// benchmark-done event. Nothing serializes distinct benchmarks against
-// each other, so one benchmark's compile fan-out overlaps the next one's
-// rewrite and the whole run keeps opts.Workers workers busy (or shares
-// opts.Sched with every other caller of the same pool).
+// one task graph on env's scheduler. Each benchmark contributes a generate
+// task (build the MIG through env.Benchmarks, when set), one rewrite task
+// per distinct pipeline of the configuration plan (memoized through
+// env.Rewrites, when set), one compile task per configuration depending on
+// its stage's rewrite, and a join task depending on all of them that
+// aggregates errors and emits the benchmark-done event. Nothing serializes
+// distinct benchmarks against each other, so one benchmark's compile
+// fan-out overlaps the next one's rewrite and the whole run keeps the
+// pool's workers busy (sharing them with every other caller of the same
+// pool).
 //
 // Results are deterministic and ordered; with one worker, tasks run in
 // depth-first creation order, which reproduces the sequential
 // per-benchmark event order exactly. Once ctx is cancelled unstarted tasks
 // never run and RunSuite returns ctx.Err(). When several benchmarks fail
 // independently, every failure is reported through one joined error.
-func RunSuite(ctx context.Context, cfgs []core.Config, opts Options) (*SuiteResult, error) {
+func RunSuite(ctx context.Context, env core.Env, cfgs []core.Config, opts Options) (*SuiteResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -120,21 +87,12 @@ func RunSuite(ctx context.Context, cfgs []core.Config, opts Options) (*SuiteResu
 		Configs:    cfgs,
 		Reports:    make([][]*core.Report, len(opts.Benchmarks)),
 	}
-	pool := opts.Sched
-	if pool == nil {
-		pool = sched.New(opts.Workers)
-		defer pool.Stop()
-	}
-	var deadline time.Time
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	}
-	g := pool.NewGraph(ctx, sched.GraphOptions{Deadline: deadline, Progress: opts.Progress})
 	errs := make([]error, len(opts.Benchmarks))
-	for idx, name := range opts.Benchmarks {
-		sr.addBenchmark(g, idx, name, cfgs, opts, errs)
-	}
-	if err := g.Wait(); err != nil {
+	if err := env.RunGraph(ctx, func(g *sched.Graph) {
+		for idx, name := range opts.Benchmarks {
+			sr.addBenchmark(g, env, idx, name, cfgs, opts, errs)
+		}
+	}); err != nil {
 		// Cancellation surfaces as ctx.Err() itself, not a joined wrap.
 		return nil, err
 	}
@@ -147,7 +105,7 @@ func RunSuite(ctx context.Context, cfgs []core.Config, opts Options) (*SuiteResu
 // addBenchmark adds one benchmark's generate → rewrites → compiles → join
 // task chain to the suite graph. The join writes the benchmark's composed
 // error into errs[idx].
-func (sr *SuiteResult) addBenchmark(g *sched.Graph, idx int, name string, cfgs []core.Config, opts Options, errs []error) {
+func (sr *SuiteResult) addBenchmark(g *sched.Graph, env core.Env, idx int, name string, cfgs []core.Config, opts Options, errs []error) {
 	var (
 		m      *mig.MIG
 		start  time.Time
@@ -155,7 +113,7 @@ func (sr *SuiteResult) addBenchmark(g *sched.Graph, idx int, name string, cfgs [
 	)
 	total := len(opts.Benchmarks)
 	gen := g.Task(sched.KindGenerate, name, func(ctx context.Context) {
-		opts.Progress.Emit(progress.BenchmarkStart{
+		env.Progress.Emit(progress.BenchmarkStart{
 			Benchmark: name, Index: idx, Total: total,
 		})
 		start = time.Now()
@@ -164,7 +122,7 @@ func (sr *SuiteResult) addBenchmark(g *sched.Graph, idx int, name string, cfgs [
 			genErr = fmt.Errorf("tables: unknown benchmark %q", name)
 			return
 		}
-		built, err := suite.BuildCached(ctx, opts.BenchCache, name, opts.Shrink)
+		built, err := suite.BuildCached(ctx, env.Benchmarks, name, opts.Shrink)
 		if err != nil {
 			genErr = err
 			return
@@ -177,15 +135,7 @@ func (sr *SuiteResult) addBenchmark(g *sched.Graph, idx int, name string, cfgs [
 		m = built
 	}, nil)
 	reports := make([]*core.Report, len(cfgs))
-	leaves, finish := core.StagedGraph(g, gen, func() *mig.MIG { return m }, cfgs, core.StagedOptions{
-		Effort:    opts.Effort,
-		Cache:     opts.RewriteCache,
-		Programs:  opts.ProgramCache,
-		Scratch:   opts.Scratch,
-		Progress:  opts.Progress,
-		Verify:    opts.Verify,
-		CostModel: opts.CostModel,
-	}, reports)
+	leaves, finish := core.StagedGraph(g, gen, func() *mig.MIG { return m }, cfgs, env, opts.Effort, reports)
 	g.Task(sched.KindJoin, name, func(ctx context.Context) {
 		err := genErr
 		if err == nil {
@@ -200,7 +150,7 @@ func (sr *SuiteResult) addBenchmark(g *sched.Graph, idx int, name string, cfgs [
 			}
 		}
 		errs[idx] = err
-		opts.Progress.Emit(progress.BenchmarkDone{
+		env.Progress.Emit(progress.BenchmarkDone{
 			Benchmark: name, Index: idx, Total: total,
 			Elapsed: time.Since(start), Err: err,
 		})

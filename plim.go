@@ -104,9 +104,9 @@ type (
 	// TableCostData is the cost-model projection of a priced suite run
 	// (energy/latency/lifetime per configuration; not in the paper).
 	TableCostData = tables.TableCostData
-	// ExploreOptions configures a design-space sweep (Engine.Explore).
-	// The engine fills the plumbing fields (workers, scheduler, caches,
-	// progress); callers set the sweep axes and Verify.
+	// ExploreOptions configures a design-space sweep (Engine.Explore): the
+	// sweep axes (Benchmarks, Configs, Efforts, Shrinks, Models) and
+	// Verify. The scheduler, caches and progress sink are the engine's.
 	ExploreOptions = core.ExploreOptions
 	// ExploreResult is a completed sweep with its Pareto fronts marked.
 	ExploreResult = core.ExploreResult
