@@ -218,10 +218,7 @@ func NewRewriteTier(budget int, d *diskcache.Cache) *RewriteTier {
 type rewriteDisk struct{ c *diskcache.Cache }
 
 func (d rewriteDisk) Probe(k RewriteKey) (Rewritten, diskcache.ProbeOutcome) {
-	m, st, out := d.c.ProbeRewrite(k.FP, uint8(k.Kind), k.Effort)
-	if out == diskcache.ProbeHit {
-		m.Freeze() // published as a shared tier entry
-	}
+	m, st, out := d.c.ProbeRewrite(k.FP, uint8(k.Kind), k.Effort) // a hit decodes frozen
 	return Rewritten{m, st}, out
 }
 

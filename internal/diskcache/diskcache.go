@@ -10,25 +10,30 @@
 // a small adapter over its Probe*/Store* pair:
 //
 //   - rewrite results, keyed by (input-MIG fingerprint, rewrite kind,
-//     effort) exactly like core.RewriteKey, holding the rewritten MIG in
-//     the .mig text format plus its rewrite.Stats;
+//     effort) exactly like core.RewriteKey, holding the rewritten MIG plus
+//     its rewrite.Stats;
 //   - benchmark builds, keyed by (benchmark name, shrink) exactly like
 //     suite.Key, holding the generated MIG.
 //
 // Every entry is one file: a small text header (magic, format version, the
-// full key, payload length and CRC-32) followed by the .mig payload.
+// full key, the stored graph's fingerprint, payload length and CRC-32)
+// followed by the graph in the binary MIG encoding (mig.AppendBinary). A
+// hit decodes straight into a frozen graph (mig.DecodeBinary) — no text
+// parsing and no structural-hash map — ready to publish as a memo-tier
+// entry. The .mig text format stays the user-facing interchange format.
 // Writes go through a temp file in the cache directory and an atomic
 // rename, so concurrent processes sharing a directory never observe a
 // partially written entry and the last writer simply wins. Reads verify
-// the header, the key, the payload length and the checksum; any mismatch —
-// a corrupt file, a torn write left by a crash, an entry from an older
-// format version — is treated as a cache miss, never as an error. A miss
+// the header, the key, the payload length and the checksum, and the decoder
+// rejects any payload that is not a well-formed graph; any mismatch — a
+// corrupt file, a torn write left by a crash, an entry from an older format
+// version — is treated as a cache miss, never as an error. A miss
 // merely costs a recomputation, and the fresh store overwrites the bad
 // entry.
 //
 // Invalidation is by construction: keys are content-addressed (a different
 // input graph, algorithm or effort is a different file) and FormatVersion
-// is bumped whenever the .mig serialization, the stats layout or the
+// is bumped whenever the payload encoding, the stats layout or the
 // fingerprint function changes, which orphans every old entry at once.
 package diskcache
 
@@ -38,24 +43,24 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"time"
-	"unicode"
 
 	"plim/internal/mig"
 	"plim/internal/rewrite"
 )
 
 // FormatVersion is written into every entry header and checked on load.
-// Bump it whenever the entry layout, the .mig text format, rewrite.Stats
+// Bump it whenever the entry layout, the payload encoding, rewrite.Stats
 // or mig.Fingerprint changes incompatibly; all existing entries then read
 // as misses and are rewritten on the next store.
 //
 // Version history: 1 = initial layout; 2 = entries additionally record the
 // stored graph's own fingerprint (the "out" header line), enabling
-// load-time re-verification under SetVerify.
-const FormatVersion = 2
+// load-time re-verification under SetVerify; 3 = the payload is the binary
+// MIG encoding (mig.AppendBinary) instead of .mig text.
+const FormatVersion = 3
 
 const magic = "plimcache"
 
@@ -151,13 +156,14 @@ func (c *Cache) Dir() string { return c.dir }
 
 // SetVerify toggles load-time re-verification (default off; plim.Engine
 // arms it under WithVerify). Every entry records the fingerprint of the
-// graph it stores; with verification on, a load additionally recomputes
-// the parsed graph's fingerprint and treats any mismatch as a miss. The
-// CRC already catches torn writes and random corruption; the fingerprint
-// closes the residual gap — a corrupted-but-CRC-colliding payload, or an
-// entry written by a build whose serialization drifted without a
-// FormatVersion bump — so a verifying engine can never be served a graph
-// that is not byte-for-byte the one that was stored.
+// graph it stores; with verification on, a load additionally compares it
+// with the fingerprint the decoder recorded for the graph it built and
+// treats any mismatch as a miss. The CRC already catches torn writes and
+// random corruption; the fingerprint closes the residual gap — a
+// corrupted-but-CRC-colliding payload, or an entry written by a build
+// whose serialization drifted without a FormatVersion bump — so a
+// verifying engine can never be served a graph that is not byte-for-byte
+// the one that was stored.
 func (c *Cache) SetVerify(enabled bool) { c.verify.Store(enabled) }
 
 // VerifyMisses counts loads rejected by SetVerify re-verification alone.
@@ -200,47 +206,22 @@ func sanitize(name string) string {
 	return fmt.Sprintf("x%x", name)
 }
 
-// Storable reports whether m round-trips faithfully through the .mig text
-// format, which a persisted entry must (a disk hit is contractually
-// byte-identical to a fresh computation). Two properties are required:
-//
-//   - canonical numbering: the format puts all PIs before any majority
-//     node, so a graph that interleaves them would come back renumbered —
-//     structurally equivalent but not fingerprint- or node-order-identical;
-//   - token-safe names: the format is line- and whitespace-delimited, so a
-//     model/PI/PO name containing whitespace would be truncated (or, with
-//     a newline, reparsed as a directive) on load.
-//
-// Both are only violable by hand-built MIGs — every generator, Cleanup and
-// rewrite output is canonical with identifier-style names — and such
-// graphs are simply not persisted.
+// Storable reports whether m round-trips faithfully through the binary
+// payload, which a persisted entry must (a disk hit is contractually
+// byte-identical to a fresh computation). The payload numbers all PIs
+// before any majority node, so a graph that interleaves them would come
+// back renumbered — structurally equivalent but not fingerprint- or
+// node-order-identical. Only hand-built MIGs interleave — every generator,
+// Cleanup and rewrite output is canonical — and such graphs are simply not
+// persisted. Names need no check: they are length-prefixed, so any bytes
+// round-trip.
 func Storable(m *mig.MIG) bool {
 	for i := 0; i < m.NumPIs(); i++ {
 		if m.PINode(i) != mig.NodeID(i+1) {
 			return false
 		}
 	}
-	if !tokenSafe(m.Name) {
-		return false
-	}
-	for i := 0; i < m.NumPIs(); i++ {
-		if !tokenSafe(m.PIName(i)) {
-			return false
-		}
-	}
-	for i := 0; i < m.NumPOs(); i++ {
-		if !tokenSafe(m.POName(i)) {
-			return false
-		}
-	}
 	return true
-}
-
-// tokenSafe reports whether a name survives the whitespace-delimited .mig
-// format unchanged ("" is fine: nameless pins serialize as bare
-// directives).
-func tokenSafe(name string) bool {
-	return !strings.ContainsFunc(name, unicode.IsSpace)
 }
 
 // StoreRewrite persists a rewrite result under (fp, kind, effort). Graphs
@@ -251,14 +232,14 @@ func (c *Cache) StoreRewrite(fp uint64, kind uint8, effort int, m *mig.MIG, st r
 	if !Storable(m) {
 		return nil
 	}
-	var head bytes.Buffer
-	fmt.Fprintf(&head, "key %016x %d %d\n", fp, kind, effort)
-	fmt.Fprintf(&head, "out %016x\n", m.Fingerprint())
-	fmt.Fprintf(&head, "stats %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
+	b := entryHead(kindRewrite, m)
+	b = fmt.Appendf(b, "key %016x %d %d\n", fp, kind, effort)
+	b = fmt.Appendf(b, "out %016x\n", m.Fingerprint())
+	b = fmt.Appendf(b, "stats %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
 		st.Cycles, st.NodesBefore, st.NodesAfter, st.DepthBefore, st.DepthAfter,
 		st.CompHistBefore[0], st.CompHistBefore[1], st.CompHistBefore[2], st.CompHistBefore[3],
 		st.CompHistAfter[0], st.CompHistAfter[1], st.CompHistAfter[2], st.CompHistAfter[3])
-	return c.store(rewritePath(c.dir, fp, kind, effort), kindRewrite, head.Bytes(), m)
+	return c.store(rewritePath(c.dir, fp, kind, effort), b, m)
 }
 
 // LoadRewrite probes the cache for a rewrite result. ok is false on any
@@ -300,33 +281,29 @@ func (c *Cache) parseRewrite(payload []byte, header []string, fp uint64, kind ui
 		&st.CompHistAfter[0], &st.CompHistAfter[1], &st.CompHistAfter[2], &st.CompHistAfter[3]); err != nil {
 		return nil, st, ProbeMiss
 	}
-	m, err := mig.Read(bytes.NewReader(payload))
-	if err != nil || m.Validate() != nil {
-		return nil, st, ProbeMiss
-	}
-	if out := c.checkOut(header[1], m); out != ProbeHit {
-		return nil, st, out
-	}
-	return m, st, ProbeHit
+	m, out := c.decode(payload, header[1])
+	return m, st, out
 }
 
-// checkOut re-verifies a parsed graph against the "out <fingerprint>"
-// header line recorded at store time. The line must parse regardless of
-// the verify switch (it is part of the v2 layout); the fingerprint itself
-// is only recomputed and compared when SetVerify armed the cache.
-func (c *Cache) checkOut(line string, m *mig.MIG) ProbeOutcome {
+// decode decodes a payload into a frozen graph and checks it against the
+// "out <fingerprint>" header line recorded at store time. The line must
+// parse regardless of the verify switch (it is part of the layout); the
+// comparison happens only when SetVerify armed the cache, and costs
+// nothing extra: DecodeBinary already recorded the fingerprint.
+func (c *Cache) decode(payload []byte, outLine string) (*mig.MIG, ProbeOutcome) {
 	var want uint64
-	if _, err := fmt.Sscanf(line, "out %x", &want); err != nil {
-		return ProbeMiss
+	if _, err := fmt.Sscanf(outLine, "out %x", &want); err != nil {
+		return nil, ProbeMiss
 	}
-	if !c.verify.Load() {
-		return ProbeHit
+	m, err := mig.DecodeBinary(payload)
+	if err != nil {
+		return nil, ProbeMiss
 	}
-	if m.Fingerprint() != want {
+	if c.verify.Load() && m.Fingerprint() != want {
 		c.verifyMisses.Add(1)
-		return ProbeVerifyMiss
+		return nil, ProbeVerifyMiss
 	}
-	return ProbeHit
+	return m, ProbeHit
 }
 
 // StoreBenchmark persists a benchmark build under (name, shrink).
@@ -334,8 +311,9 @@ func (c *Cache) StoreBenchmark(name string, shrink int, m *mig.MIG) error {
 	if !Storable(m) {
 		return nil
 	}
-	head := fmt.Appendf(nil, "key %q %d\nout %016x\n", name, shrink, m.Fingerprint())
-	return c.store(benchPath(c.dir, name, shrink), kindBenchmark, head, m)
+	b := entryHead(kindBenchmark, m)
+	b = fmt.Appendf(b, "key %q %d\nout %016x\n", name, shrink, m.Fingerprint())
+	return c.store(benchPath(c.dir, name, shrink), b, m)
 }
 
 // LoadBenchmark probes the cache for a benchmark build.
@@ -368,14 +346,16 @@ func (c *Cache) parseBenchmark(payload []byte, header []string, name string, shr
 		gotName != name || gotShrink != shrink {
 		return nil, ProbeMiss
 	}
-	m, err := mig.Read(bytes.NewReader(payload))
-	if err != nil || m.Validate() != nil {
-		return nil, ProbeMiss
-	}
-	if out := c.checkOut(header[1], m); out != ProbeHit {
-		return nil, out
-	}
-	return m, ProbeHit
+	return c.decode(payload, header[1])
+}
+
+// entryHead starts the buffer of m's entry with its magic line; the store
+// methods append their header lines and storeFile the payload. The buffer
+// is sized for a typical entry (a few bytes per node and pin), so it is
+// usually allocated once.
+func entryHead(entryKind string, m *mig.MIG) []byte {
+	b := make([]byte, 0, 256+len(m.Name)+6*m.NumNodes()+8*(m.NumPIs()+m.NumPOs()))
+	return fmt.Appendf(b, "%s %d %s\n", magic, FormatVersion, entryKind)
 }
 
 // store writes one entry atomically: serialize into memory, write a temp
@@ -383,8 +363,8 @@ func (c *Cache) parseBenchmark(payload []byte, header []string, name string, shr
 // writers race benignly (both write complete files; the last rename wins)
 // and a crash mid-write leaves only a temp file or a truncated temp file,
 // never a truncated entry under the final name.
-func (c *Cache) store(path, entryKind string, header []byte, m *mig.MIG) error {
-	err := c.storeFile(path, entryKind, header, m)
+func (c *Cache) store(path string, head []byte, m *mig.MIG) error {
+	err := c.storeFile(path, head, m)
 	if err != nil {
 		c.storeErrors.Add(1)
 	} else {
@@ -393,23 +373,22 @@ func (c *Cache) store(path, entryKind string, header []byte, m *mig.MIG) error {
 	return err
 }
 
-func (c *Cache) storeFile(path, entryKind string, header []byte, m *mig.MIG) error {
-	var payload bytes.Buffer
-	if err := m.Write(&payload); err != nil {
-		return fmt.Errorf("diskcache: serialize: %w", err)
-	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d %s\n", magic, FormatVersion, entryKind)
-	buf.Write(header)
-	fmt.Fprintf(&buf, "payload %d %08x\n", payload.Len(), crc32.ChecksumIEEE(payload.Bytes()))
-	buf.Write(payload.Bytes())
+// storeFile completes the entry in head's buffer — the binary payload is
+// appended after the header lines, then its "payload <len> <crc>" line is
+// inserted in front of it — and writes it out.
+func (c *Cache) storeFile(path string, head []byte, m *mig.MIG) error {
+	mark := len(head)
+	buf := m.AppendBinary(head)
+	payload := buf[mark:]
+	line := fmt.Appendf(nil, "payload %d %08x\n", len(payload), crc32.ChecksumIEEE(payload))
+	buf = slices.Insert(buf, mark, line...)
 
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("diskcache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("diskcache: %w", err)
 	}

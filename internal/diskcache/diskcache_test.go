@@ -40,7 +40,7 @@ func testStats() rewrite.Stats {
 	}
 }
 
-func open(t *testing.T) *Cache {
+func open(t testing.TB) *Cache {
 	t.Helper()
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -310,10 +310,11 @@ func TestConcurrentStoreLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWhitespaceNamesNotStored: the .mig format is whitespace-delimited,
-// so a name containing spaces (or worse, a newline) would come back
-// truncated or reparsed — such graphs must not be persisted.
-func TestWhitespaceNamesNotStored(t *testing.T) {
+// TestArbitraryNamesRoundTrip: the binary payload length-prefixes every
+// name, so model, PI and PO names containing spaces, tabs or newlines —
+// which the whitespace-delimited .mig text format could not carry — are
+// stored and reload fingerprint- and name-identical.
+func TestArbitraryNamesRoundTrip(t *testing.T) {
 	build := func(model, piName, poName string) *mig.MIG {
 		m := mig.New(model)
 		a := m.AddPI(piName)
@@ -321,13 +322,8 @@ func TestWhitespaceNamesNotStored(t *testing.T) {
 		m.AddPO(m.And(a, b), poName)
 		return m
 	}
-	if !Storable(build("ok", "in", "out")) {
-		t.Fatal("clean names reported unstorable")
-	}
-	if !Storable(build("ok", "", "")) {
-		t.Fatal("nameless pins reported unstorable")
-	}
 	cases := []*mig.MIG{
+		build("ok", "", ""),
 		build("mo del", "in", "out"),
 		build("ok", "in a", "out"),
 		build("ok", "in", "out\n.pi evil"),
@@ -335,14 +331,19 @@ func TestWhitespaceNamesNotStored(t *testing.T) {
 	}
 	c := open(t)
 	for i, m := range cases {
-		if Storable(m) {
-			t.Errorf("case %d: whitespace name reported storable", i)
+		if !Storable(m) {
+			t.Fatalf("case %d: canonical graph reported unstorable", i)
 		}
 		if err := c.StoreRewrite(m.Fingerprint(), 0, 0, m, rewrite.Stats{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := c.LoadRewrite(m.Fingerprint(), 0, 0); ok {
-			t.Errorf("case %d: whitespace-named graph was persisted", i)
+		got, _, ok := c.LoadRewrite(m.Fingerprint(), 0, 0)
+		if !ok {
+			t.Fatalf("case %d: stored graph missed", i)
+		}
+		if got.Fingerprint() != m.Fingerprint() || got.Name != m.Name ||
+			got.PIName(0) != m.PIName(0) || got.POName(0) != m.POName(0) {
+			t.Fatalf("case %d: names changed: %q %q %q", i, got.Name, got.PIName(0), got.POName(0))
 		}
 	}
 }
@@ -413,11 +414,8 @@ func TestVerifyOnLoadRejectsCRCCollision(t *testing.T) {
 		if !ok {
 			t.Fatal("no payload line")
 		}
-		var payload bytes.Buffer
-		if err := imposter.Write(&payload); err != nil {
-			t.Fatal(err)
-		}
-		forged := fmt.Sprintf("%spayload %d %08x\n%s", head, payload.Len(), crc32ieee(payload.Bytes()), payload.Bytes())
+		payload := imposter.AppendBinary(nil)
+		forged := fmt.Sprintf("%spayload %d %08x\n%s", head, len(payload), crc32ieee(payload), payload)
 		if err := os.WriteFile(path, []byte(forged), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +461,7 @@ func TestVerifyOnLoadRejectsCRCCollision(t *testing.T) {
 }
 
 // TestVerifyOnLoadBenchmark covers the benchmark entry kind: verification
-// is part of the v2 layout there too.
+// is part of its layout too.
 func TestVerifyOnLoadBenchmark(t *testing.T) {
 	c := open(t)
 	c.SetVerify(true)
@@ -476,7 +474,7 @@ func TestVerifyOnLoadBenchmark(t *testing.T) {
 		t.Fatal("verified benchmark load failed on an honest entry")
 	}
 
-	// A v2 entry with a garbled "out" line is a miss even unverified: the
+	// An entry with a garbled "out" line is a miss even unverified: the
 	// line is part of the layout.
 	path := entryFile(t, c)
 	data, _ := os.ReadFile(path)
@@ -487,6 +485,115 @@ func TestVerifyOnLoadBenchmark(t *testing.T) {
 	c.SetVerify(false)
 	if _, ok := c.LoadBenchmark("adder", 2); ok {
 		t.Fatal("mangled out line must be a miss")
+	}
+}
+
+// v2Entry renders m as FormatVersion 2 wrote a rewrite entry: the same
+// header lines, but a .mig text payload.
+func v2Entry(t testing.TB, fp uint64, kind uint8, effort int, m *mig.MIG, st rewrite.Stats) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := m.Write(&payload); err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%s 2 %s\n", magic, kindRewrite)
+	fmt.Fprintf(&b, "key %016x %d %d\nout %016x\n", fp, kind, effort, m.Fingerprint())
+	fmt.Fprintf(&b, "stats %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
+		st.Cycles, st.NodesBefore, st.NodesAfter, st.DepthBefore, st.DepthAfter,
+		st.CompHistBefore[0], st.CompHistBefore[1], st.CompHistBefore[2], st.CompHistBefore[3],
+		st.CompHistAfter[0], st.CompHistAfter[1], st.CompHistAfter[2], st.CompHistAfter[3])
+	fmt.Fprintf(&b, "payload %d %08x\n", payload.Len(), crc32ieee(payload.Bytes()))
+	b.Write(payload.Bytes())
+	return b.Bytes()
+}
+
+// TestV2TextEntryIsAMiss: an entry left by a FormatVersion 2 build (text
+// payload) under the very path a lookup probes is a miss, and the store
+// that follows overwrites it with a current entry that then hits.
+func TestV2TextEntryIsAMiss(t *testing.T) {
+	c := open(t)
+	m := testMIG("v2", 8)
+	fp := m.Fingerprint()
+	path := rewritePath(c.Dir(), fp, 2, 5)
+	if err := os.WriteFile(path, v2Entry(t, fp, 2, 5, m, testStats()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.LoadRewrite(fp, 2, 5); ok {
+		t.Fatal("version 2 text entry served as a hit")
+	}
+	if err := c.StoreRewrite(fp, 2, 5, m, testStats()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%s %d %s\n", magic, FormatVersion, kindRewrite); !strings.HasPrefix(string(data), want) {
+		t.Fatalf("store did not overwrite the old entry: %q", data[:min(len(data), 40)])
+	}
+	got, st, ok := c.LoadRewrite(fp, 2, 5)
+	if !ok || got.Fingerprint() != fp || st != testStats() {
+		t.Fatal("overwritten entry missed or changed")
+	}
+	if cnt := c.Counters(); cnt.RewriteHits != 1 || cnt.RewriteMisses != 1 {
+		t.Fatalf("counters = %+v", cnt)
+	}
+}
+
+// FuzzProbeEntry writes arbitrary bytes where an entry lives and probes
+// it, unverified and verified: every probe must resolve to a miss or to a
+// hit whose graph is frozen and valid — never a panic.
+func FuzzProbeEntry(f *testing.F) {
+	m := testMIG("fuzz", 9)
+	fp := m.Fingerprint()
+	seed := open(f)
+	if err := seed.StoreRewrite(fp, 2, 5, m, testStats()); err != nil {
+		f.Fatal(err)
+	}
+	if err := seed.StoreBenchmark("fuzz", 2, m); err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range []string{rewritePath(seed.Dir(), fp, 2, 5), benchPath(seed.Dir(), "fuzz", 2)} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(v2Entry(f, fp, 2, 5, m, testStats()))
+	f.Add([]byte("plimcache 3 rewrite\npayload 0 00000000\n"))
+
+	c := open(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, path := range []string{rewritePath(c.Dir(), fp, 2, 5), benchPath(c.Dir(), "fuzz", 2)} {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, verify := range []bool{false, true} {
+			c.SetVerify(verify)
+			got, _, out := c.ProbeRewrite(fp, 2, 5)
+			checkProbe(t, "rewrite", got, out)
+			got, out = c.ProbeBenchmark("fuzz", 2)
+			checkProbe(t, "benchmark", got, out)
+		}
+	})
+}
+
+func checkProbe(t *testing.T, kind string, m *mig.MIG, out ProbeOutcome) {
+	t.Helper()
+	if out != ProbeHit {
+		if m != nil {
+			t.Fatalf("%s %v returned a graph", kind, out)
+		}
+		return
+	}
+	if !m.Frozen() {
+		t.Fatalf("%s hit is not frozen", kind)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("%s hit is invalid: %v", kind, err)
 	}
 }
 

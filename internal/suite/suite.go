@@ -144,11 +144,7 @@ func NewTier(budget int, d *diskcache.Cache) *Tier {
 type benchDisk struct{ c *diskcache.Cache }
 
 func (d benchDisk) Probe(k Key) (*mig.MIG, diskcache.ProbeOutcome) {
-	m, out := d.c.ProbeBenchmark(k.Name, k.Shrink)
-	if out == diskcache.ProbeHit {
-		m.Freeze() // published as a shared tier entry
-	}
-	return m, out
+	return d.c.ProbeBenchmark(k.Name, k.Shrink) // a hit decodes frozen
 }
 
 func (d benchDisk) Store(k Key, m *mig.MIG) error { return d.c.StoreBenchmark(k.Name, k.Shrink, m) }
